@@ -1,11 +1,10 @@
-// Selector cost/accuracy grid: the O(1) hardware-style fast tier
-// (tournament / perceptron / global-history) head-to-head against the
-// paper's k-NN selection and the hindsight oracle.
+// Selector cost/accuracy grid: the NWS cumulative-error selectors (the
+// paper's baselines) head-to-head against the paper's k-NN selection and
+// the hindsight oracle.
 //
 // Two measurements:
 //   * select() micro-cost — ns/select and selects/sec for every selector,
-//     the k-NN rows at a catalog-typical index size.  The fast tier's
-//     reason to exist is this column: counter argmax vs index query.
+//     the k-NN rows at a catalog-typical index size;
 //   * accuracy — per-VM-family MSE ratio vs the hindsight oracle over the
 //     catalog's test halves, every selector scoring the SAME pool forecasts
 //     on the same walk (so the ratio isolates pure selection skill).
@@ -31,12 +30,9 @@
 #include "ml/normalizer.hpp"
 #include "ml/pca.hpp"
 #include "predictors/pool.hpp"
-#include "selection/history_selector.hpp"
 #include "selection/knn_selector.hpp"
 #include "selection/nws_selector.hpp"
-#include "selection/perceptron_selector.hpp"
 #include "selection/selector.hpp"
-#include "selection/tournament_selector.hpp"
 #include "tracegen/catalog.hpp"
 
 namespace {
@@ -118,7 +114,7 @@ std::vector<CostRow> bench_select_cost(bool quick) {
   const std::size_t pool_size = pool.size();
   // Rep windows are kept short (ms-scale): on a shared box the min-of-reps
   // estimator works best when each rep has little time to absorb noise.
-  const std::size_t fast_iters = quick ? 200'000 : 1'000'000;
+  const std::size_t nws_iters = quick ? 200'000 : 1'000'000;
   const std::size_t index_iters = quick ? 20'000 : 100'000;
 
   struct Candidate {
@@ -127,28 +123,18 @@ std::vector<CostRow> bench_select_cost(bool quick) {
     std::size_t iterations;
   };
   std::vector<Candidate> candidates;
-  candidates.push_back({"Tournament(2b)",
-                        std::make_unique<selection::TournamentSelector>(pool_size),
-                        fast_iters});
-  candidates.push_back({"Perceptron",
-                        std::make_unique<selection::PerceptronSelector>(pool_size),
-                        fast_iters});
-  candidates.push_back(
-      {"GlobalHistory(4,64)",
-       std::make_unique<selection::GlobalHistorySelector>(pool_size),
-       fast_iters});
   candidates.push_back(
       {"Cum.MSE",
        std::make_unique<selection::CumulativeMseSelector>(pool_size),
-       fast_iters});
+       nws_iters});
   candidates.push_back(
       {"W-Cum.MSE(2)",
        std::make_unique<selection::WindowedCumMseSelector>(pool_size, 2),
-       fast_iters});
+       nws_iters});
   candidates.push_back(
       {"EWMA-MSE(0.9)",
        std::make_unique<selection::EwmaMseSelector>(pool_size, 0.9),
-       fast_iters});
+       nws_iters});
   candidates.push_back({"kNN(brute)",
                         make_knn_selector(pool, normalized,
                                           ml::KnnBackend::BruteForce),
@@ -232,14 +218,6 @@ TraceScore score_trace(const std::string& vm, const std::string& metric) {
   const std::size_t pool_size = pool.size();
   std::vector<std::pair<std::string, std::unique_ptr<selection::Selector>>>
       selectors;
-  selectors.emplace_back(
-      "Tournament(2b)",
-      std::make_unique<selection::TournamentSelector>(pool_size));
-  selectors.emplace_back(
-      "Perceptron", std::make_unique<selection::PerceptronSelector>(pool_size));
-  selectors.emplace_back(
-      "GlobalHistory(4,64)",
-      std::make_unique<selection::GlobalHistorySelector>(pool_size));
   selectors.emplace_back(
       "Cum.MSE",
       std::make_unique<selection::CumulativeMseSelector>(pool_size));
@@ -413,16 +391,14 @@ int main(int argc, char** argv) {
     }
   }
   larp::bench::banner("Selector cost/accuracy grid",
-                      "O(1) fast tier vs k-NN selection vs hindsight oracle");
+                      "NWS selectors vs k-NN selection vs hindsight oracle");
   const auto cost = bench_select_cost(quick);
   const auto accuracy = bench_accuracy(quick);
   std::printf(
-      "\nexpected shape: the three fast selectors sit at a few ns/select\n"
-      "(a P-way argmax over bytes of state) — two orders of magnitude under\n"
-      "the k-NN index query — while their MSE-vs-oracle ratio stays in the\n"
-      "same band as k-NN on most families: the cold tier trades a little\n"
-      "selection skill for a select() cheap enough to serve from the very\n"
-      "first window.\n");
+      "\nexpected shape: the NWS selectors sit at tens of ns/select (a P-way\n"
+      "argmin over running errors) against hundreds for the k-NN index\n"
+      "query, but pay a full-pool forecast per step in record(); their\n"
+      "MSE-vs-oracle ratio stays in the same band as k-NN.\n");
   if (json_path) write_json(json_path, cost, accuracy);
   return 0;
 }

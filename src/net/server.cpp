@@ -7,9 +7,11 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <chrono>
 #include <cstring>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -162,6 +164,13 @@ struct Server::Loop {
 };
 
 namespace {
+
+bool all_finite(std::span<const serve::Observation> items) {
+  for (const serve::Observation& item : items) {
+    if (!std::isfinite(item.value)) return false;
+  }
+  return true;
+}
 
 void epoll_ctl_or_throw(int epfd, int op, int fd, std::uint32_t events,
                         void* tag) {
@@ -518,7 +527,19 @@ void Server::process_frames(Loop& loop, Conn& conn) {
         case MsgType::kObserve: {
           if (conn.run != Run::kObserve) flush_runs(loop, conn);
           const std::size_t before = conn.obs_used;
-          conn.obs_used = decode_observe_items(r, conn.obs, conn.obs_used);
+          const std::size_t after =
+              decode_observe_items(r, conn.obs, conn.obs_used);
+          if (!all_finite({conn.obs.data() + before, after - before})) {
+            // Refused before it joins the run, and without closing the
+            // connection: the frames queued ahead of it are flushed first
+            // (replies stay in request order), later frames start a new run.
+            flush_runs(loop, conn);
+            encode_error(conn.reply, h.id, ErrorCode::kBadRequest,
+                         "net: non-finite observe value");
+            enqueue_reply(loop, conn);
+            break;
+          }
+          conn.obs_used = after;
           conn.run = Run::kObserve;
           conn.entries.push_back({h.id, conn.obs_used - before});
           break;

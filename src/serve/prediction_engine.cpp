@@ -38,9 +38,12 @@ std::uint64_t now_nanos() {
 //        up front so restore knows every shard's replay cut before reading
 //        any section), then the shard sections, each carrying its own
 //        traffic counters.  Written by the incremental snapshot.
-//   v3 — v2 plus the fast-tier identity (lar.fast_tier, its tuning, and
-//        fast_train_samples) in the config block and a per-shard
-//        fast_trains counter.  Older payloads load with the tier off.
+//   v3 — v2 plus a cold-start selector tier block in the config (a tier
+//        byte, seven tuning fields and the tier's sample threshold) and a
+//        per-shard fast_trains counter.  The tier has since been removed
+//        (DESIGN.md §10): the writer zeroes both, and the reader refuses a
+//        payload whose tier byte or sample threshold is non-zero, since
+//        this build cannot reproduce that predictor.
 //   v4 — v3 plus Gorilla-style compression (DESIGN.md §11): a per-shard
 //        raw-vs-encoded byte accounting table after the watermark table,
 //        and shard sections that carry the WAL payload codec state
@@ -50,7 +53,9 @@ std::uint64_t now_nanos() {
 //        in their own opaque save_state() encoding.
 //
 // restore() reads all four: v1 maps its global counters onto shard 0,
-// which preserves every aggregate stats() total.
+// which preserves every aggregate stats() total.  WAL replay still accepts
+// the per-op frames pre-v4 engines wrote (v1/v3 directories hold them);
+// the writer emits only compressed block frames.
 constexpr std::uint32_t kEnginePayloadVersion = 4;
 
 // WAL frame types.  predict() frames matter for bit-identical recovery:
@@ -92,17 +97,13 @@ void save_engine_config(persist::io::Writer& w, const EngineConfig& c) {
   w.u64(c.train_samples);
   w.u64(c.history_capacity);
   w.u64(c.audit_every);
-  // v3: the cold-start fast tier is identity-defining too — a restored
-  // engine must fast-train/hand off at exactly the same observations.
-  w.u8(static_cast<std::uint8_t>(l.fast_tier));
-  w.u64(l.fast.counter_bits);
-  w.u64(l.fast.history_length);
-  w.u64(l.fast.table_rows);
-  w.u64(l.fast.min_records);
-  w.f64(l.fast.perceptron_lr);
-  w.f64(l.fast.perceptron_clip);
-  w.f64(l.fast.error_decay);
-  w.u64(c.fast_train_samples);
+  // v3's cold-start tier block, kept zeroed so the v4 layout (and snapshot
+  // size) is unchanged: tier byte, four u64 and three f64 tuning fields,
+  // the tier's sample threshold.
+  w.u8(0);
+  for (int i = 0; i < 4; ++i) w.u64(0);
+  for (int i = 0; i < 3; ++i) w.f64(0.0);
+  w.u64(0);
 }
 
 void load_engine_config(persist::io::Reader& r, EngineConfig& c,
@@ -132,24 +133,19 @@ void load_engine_config(persist::io::Reader& r, EngineConfig& c,
   c.history_capacity = static_cast<std::size_t>(r.u64());
   c.audit_every = static_cast<std::size_t>(r.u64());
   if (payload_version >= 3) {
-    const std::uint8_t tier = r.u8();
-    if (tier > static_cast<std::uint8_t>(selection::FastTier::GlobalHistory)) {
-      throw persist::CorruptData("engine snapshot: bad fast tier");
+    // The removed cold-start tier: its tuning fields are skipped, but a
+    // payload that had the tier switched on describes forecasts this build
+    // can no longer reproduce.
+    if (r.u8() != 0) {
+      throw persist::CorruptData(
+          "engine snapshot: cold-start selector tier is no longer supported");
     }
-    l.fast_tier = static_cast<selection::FastTier>(tier);
-    l.fast.counter_bits = static_cast<unsigned>(r.u64());
-    l.fast.history_length = static_cast<std::size_t>(r.u64());
-    l.fast.table_rows = static_cast<std::size_t>(r.u64());
-    l.fast.min_records = static_cast<std::size_t>(r.u64());
-    l.fast.perceptron_lr = r.f64();
-    l.fast.perceptron_clip = r.f64();
-    l.fast.error_decay = r.f64();
-    c.fast_train_samples = static_cast<std::size_t>(r.u64());
-  } else {
-    // Pre-tier snapshot: the tier did not exist, so it stays off.
-    l.fast_tier = selection::FastTier::None;
-    l.fast = selection::FastTierConfig{};
-    c.fast_train_samples = 0;
+    for (int i = 0; i < 4; ++i) (void)r.u64();
+    for (int i = 0; i < 3; ++i) (void)r.f64();
+    if (r.u64() != 0) {
+      throw persist::CorruptData(
+          "engine snapshot: cold-start tier threshold is no longer supported");
+    }
   }
 }
 
@@ -172,20 +168,6 @@ PredictionEngine::PredictionEngine(predictors::PredictorPool pool_prototype,
   }
   if (config_.history_capacity < config_.train_samples) {
     config_.history_capacity = config_.train_samples;
-  }
-  if (config_.fast_train_samples > 0) {
-    if (config_.lar.fast_tier == selection::FastTier::None) {
-      throw InvalidArgument(
-          "PredictionEngine: fast_train_samples requires lar.fast_tier");
-    }
-    if (config_.fast_train_samples < config_.lar.window + 2) {
-      throw InvalidArgument(
-          "PredictionEngine: fast_train_samples must be at least window + 2");
-    }
-    if (config_.fast_train_samples >= config_.train_samples) {
-      throw InvalidArgument(
-          "PredictionEngine: fast_train_samples must be below train_samples");
-    }
   }
   shards_.reserve(config_.shards);
   for (std::size_t s = 0; s < config_.shards; ++s) {
@@ -314,6 +296,19 @@ void PredictionEngine::for_each_shard(std::size_t count, const KeyOf& key_of,
   });
 }
 
+template <typename AddOps>
+void PredictionEngine::wal_log(Shard& shard, std::size_t ops,
+                               const AddOps& add_ops) {
+  if (!shard.wal) return;
+  // The frame is weighted by its op count so fsync policies keep counting
+  // records, not frames.
+  shard.codec.begin_block(ops);
+  add_ops(shard.codec);
+  (void)shard.wal->stage(shard.codec.finish_block(), ops);
+  shard.wal->commit();
+  maybe_notify_syncer(shard);
+}
+
 void PredictionEngine::train_series(Shard& shard, const tsdb::SeriesKey& key,
                                     SeriesState& state, bool is_retrain) {
   const std::size_t take =
@@ -328,37 +323,12 @@ void PredictionEngine::train_series(Shard& shard, const tsdb::SeriesKey& key,
     shard.predictions.prune_before(key, state.next_ts + 1);
     shard.retrains.fetch_add(1, std::memory_order_relaxed);
   } else {
-    // A predictor already present here is the fast tier reaching full
-    // training depth: train() promotes the classifier in place (handoff).
-    const bool handoff = state.predictor.has_value();
-    if (!handoff) {
-      state.predictor.emplace(pool_prototype_.clone(), config_.lar);
-    }
+    state.predictor.emplace(pool_prototype_.clone(), config_.lar);
     state.predictor->train(recent);
-    if (handoff) {
-      // Forget the cold tier's forecasts (including any still-pending one)
-      // and restart the audit clock, so from here the series is in exactly
-      // the state a never-fast engine reaches at its training step — the
-      // forecast stream onward is bit-identical.
-      shard.predictions.prune_before(key, state.next_ts + 1);
-      state.since_audit = 0;
-      shard.fast_count.fetch_sub(1, std::memory_order_relaxed);
-    }
     shard.trains.fetch_add(1, std::memory_order_relaxed);
     shard.trained_count.fetch_add(1, std::memory_order_relaxed);
   }
   state.retrain_requested = false;
-}
-
-void PredictionEngine::fast_train_series(Shard& shard, SeriesState& state) {
-  const std::size_t take =
-      std::min(state.history.size(), config_.train_samples);
-  const std::vector<double> recent(state.history.end() - take,
-                                   state.history.end());
-  state.predictor.emplace(pool_prototype_.clone(), config_.lar);
-  state.predictor->train_fast(recent);
-  shard.fast_trains.fetch_add(1, std::memory_order_relaxed);
-  shard.fast_count.fetch_add(1, std::memory_order_relaxed);
 }
 
 void PredictionEngine::absorb(Shard& shard, const tsdb::SeriesKey& key,
@@ -392,28 +362,9 @@ void PredictionEngine::absorb(Shard& shard, const tsdb::SeriesKey& key,
     return;
   }
 
-  // Cold-start tier: fast-train as soon as fast_train_samples have
-  // accumulated, so the series serves O(1)-selected forecasts while the
-  // full training window is still filling.
-  if (!state.predictor && fast_tier_enabled() &&
-      state.history.size() >= config_.fast_train_samples) {
-    fast_train_series(shard, state);
-    return;
-  }
-
-  // Handoff: a fast-serving series reaches full training depth — promote
-  // the classifier (bit-identical to a never-fast engine from here on).
-  if (state.predictor && state.predictor->serving_fast_tier() &&
-      state.history.size() >= config_.train_samples) {
-    train_series(shard, key, state, /*is_retrain=*/false);
-    return;
-  }
-
   // QA audit on cadence; a breach flags the series and we re-train from the
-  // retained history right away.  The fast tier is exempt: QA judges the
-  // promoted classifier only (the audit clock starts at handoff).
-  if (state.predictor && !state.predictor->serving_fast_tier() &&
-      config_.audit_every > 0 &&
+  // retained history right away.
+  if (state.predictor && config_.audit_every > 0 &&
       ++state.since_audit >= config_.audit_every) {
     state.since_audit = 0;
     // The lock-free mirror counts exactly what qa->audits_performed()
@@ -430,27 +381,13 @@ void PredictionEngine::absorb(Shard& shard, const tsdb::SeriesKey& key,
 void PredictionEngine::observe_shard(Shard& shard,
                                      std::span<const Observation> batch,
                                      std::span<const std::size_t> indices) {
-  if (shard.wal) {
-    // Group commit: this (shard, batch) pair is staged and flushed with one
-    // write + one sync decision, before any of the mutations it describes
-    // is applied — log-before-apply at group granularity, op order
-    // identical to apply order.  Compressed: ONE block frame for the whole
-    // batch, weighted by its op count so fsync policies keep counting
-    // records; legacy: one frame per op.
-    if (config_.durability.compress_payloads) {
-      shard.codec.begin_block(indices.size());
-      for (std::size_t i : indices) {
-        shard.codec.add_observe(batch[i].key, batch[i].value);
-      }
-      (void)shard.wal->stage(shard.codec.finish_block(), indices.size());
-    } else {
-      for (std::size_t i : indices) {
-        wal_stage(shard, kWalObserve, batch[i].key, &batch[i].value);
-      }
+  // Log-before-apply at group granularity: ONE block frame for this (shard,
+  // batch) pair, op order identical to apply order.
+  wal_log(shard, indices.size(), [&](WalPayloadCodec& codec) {
+    for (std::size_t i : indices) {
+      codec.add_observe(batch[i].key, batch[i].value);
     }
-    shard.wal->commit();
-    maybe_notify_syncer(shard);
-  }
+  });
   shard.observe_count.fetch_add(indices.size(), std::memory_order_relaxed);
   for (std::size_t i : indices) {
     absorb(shard, batch[i].key, batch[i].value);
@@ -462,6 +399,13 @@ void PredictionEngine::observe(std::span<const Observation> batch) {
     throw StateError(
         "follower engine: observe() must reach the leader — follower state "
         "mutates only through replication");
+  }
+  // Validate before anything is logged or applied: a non-finite sample that
+  // reached the WAL would poison the error aggregates and break replay.
+  for (const Observation& obs : batch) {
+    if (!std::isfinite(obs.value)) {
+      throw InvalidArgument("PredictionEngine::observe: non-finite value");
+    }
   }
   const auto start = Clock::now();
   if (batch.size() == 1) {
@@ -536,23 +480,12 @@ void PredictionEngine::predict_shard(Shard& shard,
     }
     return;
   }
-  if (shard.wal) {
-    // Logged even for untrained series (where forecast() is a no-op):
-    // replay must reproduce the exact call sequence, and whether a key
-    // is trained at this point is itself a function of that sequence.
-    // Staged and committed as one group, like observe().
-    if (config_.durability.compress_payloads) {
-      shard.codec.begin_block(indices.size());
-      for (std::size_t i : indices) shard.codec.add_predict(keys[i]);
-      (void)shard.wal->stage(shard.codec.finish_block(), indices.size());
-    } else {
-      for (std::size_t i : indices) {
-        wal_stage(shard, kWalPredict, keys[i], nullptr);
-      }
-    }
-    shard.wal->commit();
-    maybe_notify_syncer(shard);
-  }
+  // Logged even for untrained series (where forecast() is a no-op): replay
+  // must reproduce the exact call sequence, and whether a key is trained at
+  // this point is itself a function of that sequence.
+  wal_log(shard, indices.size(), [&](WalPayloadCodec& codec) {
+    for (std::size_t i : indices) codec.add_predict(keys[i]);
+  });
   shard.predict_count.fetch_add(indices.size(), std::memory_order_relaxed);
   for (std::size_t i : indices) {
     out[i] = forecast(shard, keys[i]);
@@ -595,7 +528,7 @@ bool PredictionEngine::erase(const tsdb::SeriesKey& key) {
   }
   Shard& shard = shard_of(key);
   std::lock_guard lock(shard.mutex);
-  wal_log(shard, kWalErase, key, nullptr);
+  wal_log(shard, 1, [&](WalPayloadCodec& codec) { codec.add_erase(key); });
   return erase_locked(shard, key);
 }
 
@@ -604,11 +537,7 @@ bool PredictionEngine::erase_locked(Shard& shard, const tsdb::SeriesKey& key) {
   const bool removed = it != shard.series.end();
   if (removed) {
     if (it->second.predictor) {
-      if (it->second.predictor->serving_fast_tier()) {
-        shard.fast_count.fetch_sub(1, std::memory_order_relaxed);
-      } else {
-        shard.trained_count.fetch_sub(1, std::memory_order_relaxed);
-      }
+      shard.trained_count.fetch_sub(1, std::memory_order_relaxed);
     }
     shard.series.erase(it);
     shard.series_count.fetch_sub(1, std::memory_order_relaxed);
@@ -616,43 +545,6 @@ bool PredictionEngine::erase_locked(Shard& shard, const tsdb::SeriesKey& key) {
   }
   shard.predictions.erase_stream(key);
   return removed;
-}
-
-void PredictionEngine::wal_log(Shard& shard, std::uint8_t type,
-                               const tsdb::SeriesKey& key, const double* value) {
-  if (!shard.wal) return;
-  if (config_.durability.compress_payloads) {
-    shard.codec.begin_block(1);
-    switch (type) {
-      case kWalObserve:
-        shard.codec.add_observe(key, *value);
-        break;
-      case kWalPredict:
-        shard.codec.add_predict(key);
-        break;
-      default:
-        shard.codec.add_erase(key);
-        break;
-    }
-    (void)shard.wal->stage(shard.codec.finish_block(), 1);
-  } else {
-    wal_stage(shard, type, key, value);
-  }
-  shard.wal->commit();
-  maybe_notify_syncer(shard);
-}
-
-void PredictionEngine::wal_stage(Shard& shard, std::uint8_t type,
-                                 const tsdb::SeriesKey& key,
-                                 const double* value) {
-  auto& payload = shard.wal_payload;
-  payload.clear();
-  payload.u8(type);
-  payload.str(key.vm_id);
-  payload.str(key.device_id);
-  payload.str(key.metric);
-  if (value != nullptr) payload.f64(*value);
-  shard.wal->stage(payload.bytes());
 }
 
 void PredictionEngine::sync_wals_if_due() {
@@ -765,7 +657,7 @@ void PredictionEngine::save_shard(persist::io::Writer& w, Shard& shard,
   w.f64(shard.abs_error_sum.load(std::memory_order_relaxed));
   w.f64(shard.sq_error_sum.load(std::memory_order_relaxed));
   w.u64(shard.trains.load(std::memory_order_relaxed));
-  w.u64(shard.fast_trains.load(std::memory_order_relaxed));
+  w.u64(0);  // v3's fast_trains counter (the removed cold-start tier)
   w.u64(shard.retrains.load(std::memory_order_relaxed));
   w.u64(shard.erases.load(std::memory_order_relaxed));
   w.u64(shard.qa->audits_performed());
@@ -859,10 +751,7 @@ std::uint64_t PredictionEngine::load_shard(persist::io::Reader& r, Shard& shard,
   shard.sq_error_sum.store(r.f64(), std::memory_order_relaxed);
   shard.trains.store(static_cast<std::size_t>(r.u64()),
                      std::memory_order_relaxed);
-  if (payload_version >= 3) {
-    shard.fast_trains.store(static_cast<std::size_t>(r.u64()),
-                            std::memory_order_relaxed);
-  }
+  if (payload_version >= 3) (void)r.u64();  // fast_trains (removed tier)
   shard.retrains.store(static_cast<std::size_t>(r.u64()),
                        std::memory_order_relaxed);
   shard.erases.store(static_cast<std::size_t>(r.u64()),
@@ -937,18 +826,11 @@ std::uint64_t PredictionEngine::load_shard(persist::io::Reader& r, Shard& shard,
   }
   // Re-seed the lock-free stats() mirrors from the restored series map.
   std::size_t trained = 0;
-  std::size_t fast = 0;
   for (const auto& [key, state] : shard.series) {
-    if (!state.predictor) continue;
-    if (state.predictor->serving_fast_tier()) {
-      ++fast;
-    } else {
-      ++trained;
-    }
+    if (state.predictor) ++trained;
   }
   shard.series_count.store(shard.series.size(), std::memory_order_relaxed);
   shard.trained_count.store(trained, std::memory_order_relaxed);
-  shard.fast_count.store(fast, std::memory_order_relaxed);
   return watermark;
 }
 
@@ -1236,16 +1118,7 @@ bool PredictionEngine::is_trained(const tsdb::SeriesKey& key) const {
   const Shard& shard = shard_of(key);
   std::lock_guard lock(shard.mutex);
   const auto it = shard.series.find(key);
-  return it != shard.series.end() && it->second.predictor.has_value() &&
-         !it->second.predictor->serving_fast_tier();
-}
-
-bool PredictionEngine::is_fast_serving(const tsdb::SeriesKey& key) const {
-  const Shard& shard = shard_of(key);
-  std::lock_guard lock(shard.mutex);
-  const auto it = shard.series.find(key);
-  return it != shard.series.end() && it->second.predictor.has_value() &&
-         it->second.predictor->serving_fast_tier();
+  return it != shard.series.end() && it->second.predictor.has_value();
 }
 
 EngineStats PredictionEngine::stats() const {
@@ -1260,8 +1133,6 @@ EngineStats PredictionEngine::stats() const {
     stats.trained_series +=
         shard->trained_count.load(std::memory_order_relaxed);
     stats.trains += shard->trains.load(std::memory_order_relaxed);
-    stats.fast_trains += shard->fast_trains.load(std::memory_order_relaxed);
-    stats.fast_serving += shard->fast_count.load(std::memory_order_relaxed);
     stats.retrains += shard->retrains.load(std::memory_order_relaxed);
     stats.erases += shard->erases.load(std::memory_order_relaxed);
     stats.audits += shard->audits.load(std::memory_order_relaxed);

@@ -1,7 +1,6 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 
 namespace larp {
@@ -60,7 +59,11 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   // submitting only the chunks that contain work.
   const std::size_t used_chunks = (total + chunk_size - 1) / chunk_size;
 
-  std::atomic<std::size_t> remaining{used_chunks};
+  // `remaining` is guarded by done_mutex, and the last job notifies while
+  // still holding it: the caller cannot observe zero (and destroy this
+  // frame's mutex and condition variable) until that job has unlocked and
+  // touches nothing here again.
+  std::size_t remaining = used_chunks;
   std::exception_ptr first_error;
   std::mutex error_mutex;
   std::mutex done_mutex;
@@ -84,20 +87,19 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
           std::lock_guard lock(error_mutex);
           if (!first_error) first_error = std::current_exception();
         }
-        if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          std::lock_guard lock(done_mutex);
-          done_cv.notify_all();
-        }
+        std::lock_guard lock(done_mutex);
+        if (--remaining == 0) done_cv.notify_all();
       });
     } catch (...) {
       submit_error = std::current_exception();
-      remaining.fetch_sub(used_chunks - c, std::memory_order_acq_rel);
+      std::lock_guard lock(done_mutex);
+      remaining -= used_chunks - c;
       break;
     }
   }
 
   std::unique_lock lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load(std::memory_order_acquire) == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
   lock.unlock();
   if (submit_error) std::rethrow_exception(submit_error);
   if (first_error) std::rethrow_exception(first_error);

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstddef>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -151,6 +152,90 @@ TEST_F(LoopbackTest, PipelinedFramesReplyInOrder) {
   // The six pipelined observes coalesced into fewer engine batches than
   // frames (exactly one when the whole burst arrived in one read).
   EXPECT_LT(server_->stats().observe_batches, 6u);
+}
+
+TEST_F(LoopbackTest, NonFiniteObserveFrameIsRefusedAloneInARun) {
+  // A NaN frame pipelined between two good ones is answered kBadRequest at
+  // decode time, before it joins the coalesced run, so its neighbours are
+  // still acked and the connection stays open.  (Refused by the engine
+  // instead, it would fail the whole merged batch with kInternal.)
+  Client client = connect();
+  persist::io::Writer body;
+  std::vector<std::byte> burst;
+  const std::vector<serve::Observation> good = {{key_of(0), 1.0}};
+  const std::vector<serve::Observation> bad = {
+      {key_of(1), 2.0}, {key_of(2), std::numeric_limits<double>::quiet_NaN()}};
+  encode_observe_request(body, 1, good);
+  append_frame(burst, body.bytes());
+  encode_observe_request(body, 2, bad);
+  append_frame(burst, body.bytes());
+  encode_observe_request(body, 3, good);
+  append_frame(burst, body.bytes());
+  encode_ping(body, 4);
+  append_frame(burst, body.bytes());
+  client.send_raw(burst);
+
+  std::vector<std::byte> reply;
+  FrameHeader h = client.read_reply(reply);
+  EXPECT_EQ(h.type, MsgType::kObserveAck);
+  EXPECT_EQ(h.id, 1u);
+  h = client.read_reply(reply);
+  EXPECT_EQ(h.type, MsgType::kError);
+  EXPECT_EQ(h.id, 2u);
+  {
+    persist::io::Reader r(reply);
+    (void)decode_header(r);
+    EXPECT_EQ(decode_error(r).code, ErrorCode::kBadRequest);
+  }
+  h = client.read_reply(reply);
+  EXPECT_EQ(h.type, MsgType::kObserveAck);
+  EXPECT_EQ(h.id, 3u);
+  h = client.read_reply(reply);
+  EXPECT_EQ(h.type, MsgType::kPong);
+  EXPECT_EQ(h.id, 4u);
+
+  // Only the two good frames reached the engine; the refused frame's good
+  // item was dropped with it.
+  EXPECT_EQ(engine_->stats().observations, 2u);
+  EXPECT_EQ(engine_->series_count(), 1u);
+}
+
+TEST_F(LoopbackTest, InfiniteObserveIsABadRequestAndTheConnectionStaysUsable) {
+  // Unlike a malformed payload, a non-finite value is a well-formed request
+  // the server refuses: the client sees a typed kBadRequest and may keep
+  // using the same connection.
+  Client client = connect();
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    const std::vector<serve::Observation> batch = {{key_of(0), bad}};
+    try {
+      (void)client.observe(batch);
+      ADD_FAILURE() << "non-finite observe was acked";
+    } catch (const ServerError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBadRequest);
+    }
+  }
+  const std::vector<serve::Observation> good = {{key_of(0), 7.0}};
+  EXPECT_EQ(client.observe(good), 1u);
+  client.ping();
+  EXPECT_EQ(engine_->stats().observations, 1u);
+}
+
+TEST_F(LoopbackTest, NonFiniteItemRefusesItsWholeFrameOnly) {
+  // One bad item anywhere in a multi-item frame refuses every item of that
+  // frame — and nothing of the frames around it.
+  Client client = connect();
+  std::vector<serve::Observation> batch;
+  for (std::size_t s = 0; s < 6; ++s) batch.push_back({key_of(s), 1.0 + s});
+  batch[4].value = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)client.observe(batch), ServerError);
+  EXPECT_EQ(engine_->stats().observations, 0u);
+  EXPECT_EQ(engine_->series_count(), 0u);
+
+  batch[4].value = 5.0;
+  EXPECT_EQ(client.observe(batch), batch.size());
+  EXPECT_EQ(engine_->stats().observations, batch.size());
+  EXPECT_EQ(engine_->series_count(), batch.size());
 }
 
 TEST_F(LoopbackTest, GarbageGetsErrorReplyThenClose) {

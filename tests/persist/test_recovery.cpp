@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -15,6 +18,8 @@
 #include "persist/snapshot.hpp"
 #include "persist/wal.hpp"
 #include "serve/prediction_engine.hpp"
+#include "serve/wal_codec.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace larp::serve {
@@ -486,52 +491,6 @@ TEST_F(RecoveryTest, GoldenV1EngineDirectoryStillRestores) {
   for (const auto& p : restored->predict(keys)) EXPECT_TRUE(p.ready);
 }
 
-// The compress_payloads knob changes WAL bytes, never semantics: an engine
-// recovered from a compressed log and one recovered from a raw log fed the
-// same stream must forecast bit-identically forever after.
-TEST_F(RecoveryTest, CompressedAndRawWalRecoverBitIdentically) {
-  const fs::path comp_dir = dir_ / "comp";
-  const fs::path raw_dir = dir_ / "raw";
-  StreamState stream_a;
-  StreamState stream_b;
-  {
-    PredictionEngine engine(predictors::make_paper_pool(5),
-                            durable_config(comp_dir));
-    drive(engine, stream_a, kTrain + 6, /*with_predict=*/true);
-  }
-  {
-    EngineConfig raw = durable_config(raw_dir);
-    raw.durability.compress_payloads = false;
-    PredictionEngine engine(predictors::make_paper_pool(5), raw);
-    drive(engine, stream_b, kTrain + 6, /*with_predict=*/true);
-  }
-  // The raw log holds one frame per op, the compressed one a frame per
-  // batch — materially fewer bytes for the same record count.
-  const auto dir_bytes = [](const fs::path& dir) {
-    std::uintmax_t total = 0;
-    for (const auto& e : fs::directory_iterator(dir)) {
-      if (e.path().extension() == ".log") total += fs::file_size(e.path());
-    }
-    return total;
-  };
-  EXPECT_LT(dir_bytes(comp_dir), dir_bytes(raw_dir) / 2);
-
-  // WAL-only directories carry no stored identity: the override must supply
-  // the configuration the logs were written under.
-  auto restored_comp = PredictionEngine::restore(
-      predictors::make_paper_pool(5), comp_dir, durable_config(comp_dir));
-  EngineConfig raw_restore = durable_config(raw_dir);
-  raw_restore.durability.compress_payloads = false;
-  auto restored_raw = PredictionEngine::restore(predictors::make_paper_pool(5),
-                                                raw_dir, raw_restore);
-  EXPECT_EQ(restored_comp->stats().observations,
-            restored_raw->stats().observations);
-  EXPECT_EQ(restored_comp->stats().predictions,
-            restored_raw->stats().predictions);
-  expect_identical_future(*restored_comp, *restored_raw, stream_a, stream_b,
-                          15);
-}
-
 // A WAL-only directory cannot carry the shard count, and replaying it under
 // a different one silently strands whole shard logs.  Restore must refuse
 // instead of quietly losing data.
@@ -628,6 +587,141 @@ TEST_F(RecoveryTest, GoldenV4EngineDirectoryStillRestores) {
   std::vector<tsdb::SeriesKey> keys;
   for (std::size_t s = 0; s < kSeries; ++s) keys.push_back(key_of(s));
   for (const auto& p : restored->predict(keys)) EXPECT_TRUE(p.ready);
+}
+
+// Non-finite observations are refused before anything is logged: the whole
+// batch is rejected, the error aggregates stay finite, and a restore keeps
+// every accepted observation.  (A NaN frame used to reach the WAL, poison
+// MAE/MSE, and make replay discard every valid frame behind it.)
+TEST_F(RecoveryTest, NonFiniteObservationIsRefusedBeforeLogging) {
+  StreamState stream_a;
+  StreamState stream_b;
+  PredictionEngine reference(predictors::make_paper_pool(5), base_config());
+  drive(reference, stream_b, kTrain + 6, /*with_predict=*/true);
+  {
+    PredictionEngine engine(predictors::make_paper_pool(5),
+                            durable_config(dir_));
+    drive(engine, stream_a, kTrain + 3, /*with_predict=*/true);
+    const EngineStats before = engine.stats();
+    ASSERT_EQ(before.trained_series, kSeries);
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+      // A good sample rides in the same batch: it is refused with the rest.
+      const std::vector<Observation> batch = {{key_of(0), 50.0},
+                                              {key_of(1), bad}};
+      EXPECT_THROW(engine.observe(batch), InvalidArgument);
+      EXPECT_THROW(engine.observe(key_of(2), bad), InvalidArgument);
+    }
+    const EngineStats after = engine.stats();
+    EXPECT_EQ(after.observations, before.observations);
+    EXPECT_EQ(after.resolved, before.resolved);
+    EXPECT_TRUE(std::isfinite(after.mean_absolute_error));
+    EXPECT_TRUE(std::isfinite(after.mean_squared_error));
+    drive(engine, stream_a, 3, /*with_predict=*/true);
+  }
+  auto restored = PredictionEngine::restore(predictors::make_paper_pool(5),
+                                            dir_, durable_config(dir_));
+  EXPECT_EQ(restored->stats().observations, reference.stats().observations);
+  EXPECT_TRUE(std::isfinite(restored->stats().mean_squared_error));
+  expect_identical_future(*restored, reference, stream_a, stream_b, 10);
+}
+
+// The removed cold-start selector tier leaves a reserved block in the v4
+// config: the writer zeroes it, and the reader refuses a payload whose tier
+// byte or sample threshold is set — this build cannot reproduce the
+// forecasts such an engine made.  Byte offsets follow save_engine_config:
+// u32 version, then window, pca_components, pca_min_variance (3 × 8), the
+// classifier byte, knn_k (8), backend and labeling bytes, label_window and
+// uncertainty_window (2 × 8), three flag bytes, then mse_threshold,
+// audit_window, min_records, shards, train_samples, history_capacity and
+// audit_every (7 × 8) — the tier byte sits at 114, followed by 7 × 8 tuning
+// bytes and the tier's u64 sample threshold at 171.
+TEST_F(RecoveryTest, SnapshotWithTheRemovedTierEnabledIsRefused) {
+  constexpr std::size_t kTierByte = 114;
+  constexpr std::size_t kTierBlockBytes = 1 + 7 * 8 + 8;
+  constexpr std::size_t kTierThreshold = kTierByte + 1 + 7 * 8;
+  StreamState stream;
+  {
+    PredictionEngine engine(predictors::make_paper_pool(5),
+                            durable_config(dir_));
+    drive(engine, stream, kTrain + 2, /*with_predict=*/true);
+    (void)engine.snapshot();
+  }
+  const auto loaded = persist::load_newest_valid(dir_);
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_GT(loaded->payload.size(), kTierByte + kTierBlockBytes);
+  for (std::size_t i = kTierByte; i < kTierByte + kTierBlockBytes; ++i) {
+    EXPECT_EQ(std::to_integer<int>(loaded->payload[i]), 0) << "offset " << i;
+  }
+
+  std::uint64_t epoch = loaded->epoch;
+  for (const std::size_t offset : {kTierByte, kTierThreshold}) {
+    auto patched = loaded->payload;
+    patched[offset] = std::byte{1};
+    persist::publish_snapshot(dir_, ++epoch, patched);
+    EXPECT_THROW((void)PredictionEngine::restore(
+                     predictors::make_paper_pool(5), dir_),
+                 persist::CorruptData)
+        << "offset " << offset;
+    EXPECT_THROW((void)PredictionEngine::describe_payload(patched),
+                 persist::CorruptData)
+        << "offset " << offset;
+  }
+}
+
+// One WAL write path: every frame the engine logs — observe, predict and
+// erase alike — is a compressed block frame.  (The per-op frame layout is
+// still read, for directories written before block frames existed.)
+TEST_F(RecoveryTest, WalHoldsOnlyCompressedBlockFrames) {
+  StreamState stream;
+  {
+    PredictionEngine engine(predictors::make_paper_pool(5),
+                            durable_config(dir_));
+    drive(engine, stream, kTrain + 4, /*with_predict=*/true);
+    ASSERT_TRUE(engine.erase(key_of(1)));
+  }
+  std::size_t frames = 0;
+  std::size_t ops = 0;
+  for (std::uint32_t shard = 0; shard < base_config().shards; ++shard) {
+    (void)persist::replay_wal(dir_, shard, 0, [&](const persist::WalFrame& f) {
+      ++frames;
+      EXPECT_TRUE(WalPayloadCodec::is_block(f.payload)) << "shard " << shard;
+      ops += WalPayloadCodec::payload_weight(f.payload);
+    });
+  }
+  EXPECT_GT(frames, 0u);
+  // observe + predict per series per step, plus the erase.
+  EXPECT_EQ(ops, 2 * kSeries * (kTrain + 4) + 1);
+}
+
+// The reader skips the reserved tier block's tuning fields: only the tier
+// byte and its sample threshold decide whether a payload is refused.
+TEST_F(RecoveryTest, ReservedTierTuningFieldsAreIgnoredOnRestore) {
+  constexpr std::size_t kTuningFirst = 115;
+  constexpr std::size_t kTuningEnd = kTuningFirst + 7 * 8;
+  StreamState stream_a;
+  StreamState stream_b;
+  PredictionEngine reference(predictors::make_paper_pool(5), base_config());
+  drive(reference, stream_b, kTrain + 5, /*with_predict=*/true);
+  {
+    PredictionEngine engine(predictors::make_paper_pool(5),
+                            durable_config(dir_));
+    drive(engine, stream_a, kTrain + 5, /*with_predict=*/true);
+    (void)engine.snapshot();
+  }
+  const auto loaded = persist::load_newest_valid(dir_);
+  ASSERT_TRUE(loaded.has_value());
+  auto patched = loaded->payload;
+  for (std::size_t i = kTuningFirst; i < kTuningEnd; ++i) {
+    patched[i] = std::byte{0x5A};
+  }
+  persist::publish_snapshot(dir_, loaded->epoch + 1, patched);
+  EXPECT_EQ(PredictionEngine::describe_payload(patched).payload_version, 4u);
+  auto restored = PredictionEngine::restore(predictors::make_paper_pool(5),
+                                            dir_, durable_config(dir_));
+  EXPECT_EQ(restored->stats().observations, reference.stats().observations);
+  expect_identical_future(*restored, reference, stream_a, stream_b, 8);
 }
 
 // A payload from the future must be refused loudly — silently misreading a

@@ -417,31 +417,6 @@ TEST_F(ReplicationTest, BootstrapConvergeBitIdenticalForecasts) {
   EXPECT_TRUE(follower->stats().replication_fresh);
 }
 
-// WAL payloads are opaque to replication: the default leader above streams
-// compressed block frames (every test here relays them), and a leader with
-// compression off streams legacy per-op frames over the same wire — the
-// follower applies either without knowing which it got.
-TEST_F(ReplicationTest, RawFrameLeaderStreamsTransparently) {
-  repl_.reset();
-  leader_.reset();
-  fs::remove_all(leader_dir_);
-  serve::EngineConfig config = tiny_config();
-  config.durability.data_dir = leader_dir_;
-  config.durability.compress_payloads = false;
-  leader_ = std::make_unique<serve::PredictionEngine>(
-      predictors::make_paper_pool(5), config);
-  start_repl_server();
-
-  feed(16);
-  replica_ = make_replica();
-  replica_->start();
-  serve::PredictionEngine* follower = replica_->wait_until_ready(10s);
-  ASSERT_NE(follower, nullptr);
-  feed(4);
-  expect_identical_forecasts(*follower);
-  EXPECT_GT(follower->stats().replicated_frames, 0u);
-}
-
 TEST_F(ReplicationTest, FollowerKilledMidStreamResumesWithoutRebootstrap) {
   feed(16);
   replica_ = make_replica();

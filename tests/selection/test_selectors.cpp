@@ -2,6 +2,8 @@
 // k-NN).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
 #include <vector>
 
 #include "ml/framing.hpp"
@@ -202,6 +204,206 @@ TEST(KnnSelector, ClassifiesWindowsThroughPca) {
 TEST(Selector, DefaultHindsightAvailableToAll) {
   StaticSelector sel(0);
   EXPECT_EQ(sel.select_hindsight(std::vector<double>{3.0, 1.0}, 1.2), 1u);
+}
+
+// -- NWS error trackers: validation, exact statistics, value semantics ------
+
+TEST(CumulativeMse, NameIsThePaperLabel) {
+  EXPECT_EQ(CumulativeMseSelector(3).name(), "Cum.MSE");
+}
+
+TEST(CumulativeMse, ErrorsAreRunningMeansOfSquaredErrors) {
+  CumulativeMseSelector sel(2);
+  EXPECT_EQ(sel.errors(), (std::vector<double>{0.0, 0.0}));
+  sel.record(std::vector<double>{2.0, 1.0}, 0.0);
+  sel.record(std::vector<double>{0.0, 3.0}, 0.0);
+  // member 0: (4 + 0) / 2, member 1: (1 + 9) / 2.
+  EXPECT_EQ(sel.errors(), (std::vector<double>{2.0, 5.0}));
+}
+
+TEST(CumulativeMse, NonFiniteForecastNeverWins) {
+  // A member that once forecast NaN carries a NaN MSE from then on; the
+  // argmin skips it however large the other members' errors are.
+  CumulativeMseSelector sel(2);
+  sel.record(std::vector<double>{std::nan(""), 100.0}, 0.0);
+  EXPECT_EQ(sel.select(kWindow), 1u);
+  sel.record(std::vector<double>{0.0, 100.0}, 0.0);
+  EXPECT_EQ(sel.select(kWindow), 1u);
+}
+
+TEST(CumulativeMse, CloneIsIndependentOfTheOriginal) {
+  CumulativeMseSelector sel(2);
+  sel.record(std::vector<double>{9.0, 0.0}, 0.0);
+  const auto copy = sel.clone();
+  for (int i = 0; i < 10; ++i) sel.record(std::vector<double>{0.0, 9.0}, 0.0);
+  EXPECT_EQ(sel.select(kWindow), 0u);
+  EXPECT_EQ(copy->select(kWindow), 1u);
+}
+
+TEST(EwmaMse, NameIncludesTheDecay) {
+  EXPECT_EQ(EwmaMseSelector(2, 0.5).name(), "EWMA-MSE(0.500000)");
+}
+
+TEST(EwmaMse, ErrorsFollowTheDecayRecurrence) {
+  // w <- decay * w + (1 - decay) * err^2, from w = 0.
+  EwmaMseSelector sel(2, 0.5);
+  sel.record(std::vector<double>{2.0, 1.0}, 0.0);
+  EXPECT_EQ(sel.errors(), (std::vector<double>{2.0, 0.5}));
+  sel.record(std::vector<double>{0.0, 3.0}, 0.0);
+  EXPECT_EQ(sel.errors(), (std::vector<double>{1.0, 4.75}));
+  EXPECT_EQ(sel.select(kWindow), 0u);
+}
+
+TEST(EwmaMse, CloneIsIndependentOfTheOriginal) {
+  EwmaMseSelector sel(2, 0.5);
+  sel.record(std::vector<double>{9.0, 0.0}, 0.0);
+  const auto copy = sel.clone();
+  for (int i = 0; i < 10; ++i) sel.record(std::vector<double>{0.0, 9.0}, 0.0);
+  EXPECT_EQ(sel.select(kWindow), 0u);
+  EXPECT_EQ(copy->select(kWindow), 1u);
+  EXPECT_EQ(copy->name(), sel.name());
+}
+
+TEST(WindowedCumMse, ValidatesPoolAndWindow) {
+  EXPECT_THROW(WindowedCumMseSelector(0, 2), InvalidArgument);
+  EXPECT_THROW(WindowedCumMseSelector(3, 0), InvalidArgument);
+}
+
+TEST(WindowedCumMse, ColdStartPicksLabelZero) {
+  WindowedCumMseSelector sel(3, 2);
+  EXPECT_EQ(sel.select(kWindow), 0u);
+  EXPECT_EQ(sel.errors(), (std::vector<double>{0.0, 0.0, 0.0}));
+}
+
+TEST(WindowedCumMse, RecordValidatesForecastCount) {
+  WindowedCumMseSelector sel(3, 2);
+  EXPECT_THROW(sel.record(std::vector<double>{1.0, 2.0}, 0.0), InvalidArgument);
+  EXPECT_THROW(sel.record(std::vector<double>{1.0, 2.0, 3.0, 4.0}, 0.0),
+               InvalidArgument);
+}
+
+TEST(WindowedCumMse, ErrorsAreMeansOverTheWindowOnly) {
+  WindowedCumMseSelector sel(2, 2);
+  sel.record(std::vector<double>{3.0, 0.0}, 0.0);
+  sel.record(std::vector<double>{1.0, 0.0}, 0.0);
+  sel.record(std::vector<double>{2.0, 4.0}, 0.0);
+  // member 0 keeps {1, 4}; member 1 keeps {0, 16}.
+  EXPECT_EQ(sel.errors(), (std::vector<double>{2.5, 8.0}));
+}
+
+TEST(WindowedCumMse, ResetClearsHistory) {
+  WindowedCumMseSelector sel(2, 3);
+  sel.record(std::vector<double>{9.0, 0.0}, 0.0);
+  EXPECT_EQ(sel.select(kWindow), 1u);
+  sel.reset();
+  EXPECT_EQ(sel.select(kWindow), 0u);
+  EXPECT_EQ(sel.errors(), (std::vector<double>{0.0, 0.0}));
+}
+
+TEST(WindowedCumMse, CloneIsIndependentOfTheOriginal) {
+  WindowedCumMseSelector sel(2, 2);
+  sel.record(std::vector<double>{9.0, 0.0}, 0.0);
+  const auto copy = sel.clone();
+  sel.record(std::vector<double>{0.0, 9.0}, 0.0);
+  sel.record(std::vector<double>{0.0, 9.0}, 0.0);
+  EXPECT_EQ(sel.select(kWindow), 0u);
+  EXPECT_EQ(copy->select(kWindow), 1u);
+  EXPECT_EQ(copy->name(), "W-Cum.MSE(2)");
+}
+
+// -- static / oracle ---------------------------------------------------------
+
+TEST(StaticSelector, NameFallsBackToTheLabel) {
+  StaticSelector sel(3);
+  EXPECT_EQ(sel.name(), "STATIC(3)");
+  EXPECT_EQ(sel.label(), 3u);
+}
+
+TEST(StaticSelector, SelectWeightsIsOneHotInsideThePoolOnly) {
+  StaticSelector sel(2);
+  EXPECT_EQ(sel.select_weights(kWindow, 4),
+            (std::vector<double>{0.0, 0.0, 1.0, 0.0}));
+  EXPECT_THROW((void)sel.select_weights(kWindow, 2), InvalidArgument);
+}
+
+TEST(OracleSelector, CloneCarriesTheLastBestLabel) {
+  OracleSelector oracle;
+  EXPECT_EQ(oracle.name(), "P-LAR");
+  oracle.record(std::vector<double>{9.0, 8.0, 1.0}, 1.0);
+  const auto copy = oracle.clone();
+  oracle.reset();
+  EXPECT_EQ(oracle.select(kWindow), 0u);
+  EXPECT_EQ(copy->select(kWindow), 2u);
+  EXPECT_TRUE(copy->needs_hindsight());
+}
+
+TEST(OracleSelector, RecordSkipsNonFiniteForecasts) {
+  OracleSelector oracle;
+  oracle.record(std::vector<double>{std::nan(""), 4.0, 2.0}, 1.0);
+  EXPECT_EQ(oracle.select(kWindow), 2u);
+  EXPECT_THROW(oracle.record(std::vector<double>{std::nan("")}, 1.0),
+               InvalidArgument);
+}
+
+TEST(Selector, ErrorTrackersNeitherLearnNorNeedHindsight) {
+  std::vector<std::unique_ptr<Selector>> selectors;
+  selectors.push_back(std::make_unique<CumulativeMseSelector>(2));
+  selectors.push_back(std::make_unique<EwmaMseSelector>(2, 0.9));
+  selectors.push_back(std::make_unique<WindowedCumMseSelector>(2, 2));
+  selectors.push_back(std::make_unique<StaticSelector>(1));
+  for (auto& sel : selectors) {
+    EXPECT_FALSE(sel->supports_online_learning()) << sel->name();
+    EXPECT_FALSE(sel->needs_hindsight()) << sel->name();
+    const std::size_t before = sel->select(kWindow);
+    sel->learn(kWindow, 1 - before);  // a no-op for these selectors
+    EXPECT_EQ(sel->select(kWindow), before) << sel->name();
+  }
+}
+
+// -- k-NN --------------------------------------------------------------------
+
+/// Rising windows labeled 1, flat windows labeled 0, through a 2-component
+/// PCA (the same training set as ClassifiesWindowsThroughPca).
+KnnSelector make_shape_selector() {
+  linalg::Matrix windows(40, 4);
+  std::vector<std::size_t> labels(40);
+  for (std::size_t i = 0; i < 40; ++i) {
+    const bool rising = i % 2 == 0;
+    for (std::size_t j = 0; j < 4; ++j) {
+      windows(i, j) = rising ? static_cast<double>(j) +
+                                   0.01 * static_cast<double>(i)
+                             : 1.5 + 0.01 * static_cast<double>(i);
+    }
+    labels[i] = rising ? 1 : 0;
+  }
+  ml::Pca pca;
+  pca.fit(windows, ml::PcaPolicy{2, 0.9});
+  ml::KnnClassifier knn(3);
+  knn.fit(pca.transform(windows), labels);
+  return KnnSelector(std::move(pca), std::move(knn));
+}
+
+TEST(KnnSelector, SelectWeightsAreNeighbourVoteShares) {
+  KnnSelector sel = make_shape_selector();
+  const std::vector<double> rising{0, 1, 2, 3};
+  const auto weights = sel.select_weights(rising, 3);
+  ASSERT_EQ(weights.size(), 3u);
+  EXPECT_EQ(weights, (std::vector<double>{0.0, 1.0, 0.0}));
+  // A pool too small for a training label is refused, not truncated.
+  EXPECT_THROW((void)sel.select_weights(rising, 1), InvalidArgument);
+}
+
+TEST(KnnSelector, LearnGrowsTheIndexAndShiftsTheVote) {
+  KnnSelector sel = make_shape_selector();
+  EXPECT_TRUE(sel.supports_online_learning());
+  const std::vector<double> falling{3, 2, 1, 0};
+  const std::size_t before = sel.classifier().size();
+  for (int i = 0; i < 3; ++i) sel.learn(falling, 2);
+  EXPECT_EQ(sel.classifier().size(), before + 3);
+  EXPECT_EQ(sel.select(falling), 2u);
+  // The original shapes keep their labels.
+  EXPECT_EQ(sel.select(std::vector<double>{0, 1, 2, 3}), 1u);
+  EXPECT_EQ(sel.select(std::vector<double>{1.5, 1.5, 1.5, 1.5}), 0u);
 }
 
 }  // namespace

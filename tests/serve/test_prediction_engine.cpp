@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "util/error.hpp"
@@ -48,6 +51,105 @@ TEST(PredictionEngine, ValidatesConstruction) {
   tiny_train.train_samples = tiny_train.lar.window + 1;
   EXPECT_THROW(PredictionEngine(predictors::make_paper_pool(5), tiny_train),
                InvalidArgument);
+}
+
+TEST(PredictionEngine, NonFiniteObservationDoesNotWedgeAColdSeries) {
+  // A NaN sent before training used to enter the history unchecked, so the
+  // lazy train() at train_samples threw and left the series broken for good.
+  PredictionEngine engine(predictors::make_paper_pool(5), small_config(1));
+  const auto key = key_of(0);
+  const auto series = ar1_series(40, 2);
+  for (std::size_t i = 0; i < 20; ++i) engine.observe(key, series[i]);
+  EXPECT_THROW(engine.observe(key, std::nan("")), InvalidArgument);
+  EXPECT_THROW(engine.observe(key, std::numeric_limits<double>::infinity()),
+               InvalidArgument);
+  EXPECT_EQ(engine.stats().observations, 20u);
+  for (std::size_t i = 20; i < 40; ++i) engine.observe(key, series[i]);
+  EXPECT_TRUE(engine.is_trained(key));
+  EXPECT_TRUE(engine.predict(key).ready);
+}
+
+TEST(PredictionEngine, NonFiniteBatchCreatesNoSeries) {
+  // The whole batch is checked before it is grouped by shard, so no shard
+  // sees the good items of a batch that carries a bad one.
+  PredictionEngine engine(predictors::make_paper_pool(5), small_config(2));
+  std::vector<Observation> batch;
+  for (std::size_t s = 0; s < 8; ++s) batch.push_back({key_of(s), 10.0 + s});
+  batch.back().value = -std::numeric_limits<double>::infinity();
+  EXPECT_THROW(engine.observe(batch), InvalidArgument);
+  EXPECT_EQ(engine.series_count(), 0u);
+  EXPECT_EQ(engine.stats().observations, 0u);
+
+  batch.back().value = 17.0;
+  engine.observe(batch);
+  EXPECT_EQ(engine.series_count(), batch.size());
+  EXPECT_EQ(engine.stats().observations, batch.size());
+}
+
+TEST(PredictionEngine, RejectedBatchesLeaveForecastsUnchanged) {
+  // An engine that also receives (and refuses) non-finite batches serves
+  // exactly the forecasts and error aggregates of one that never saw them.
+  PredictionEngine clean(predictors::make_paper_pool(5), small_config(1));
+  PredictionEngine probed(predictors::make_paper_pool(5), small_config(1));
+  constexpr std::size_t kSeries = 3;
+  std::vector<std::vector<double>> series;
+  for (std::size_t s = 0; s < kSeries; ++s) series.push_back(ar1_series(70, 50 + s));
+  std::vector<tsdb::SeriesKey> keys;
+  for (std::size_t s = 0; s < kSeries; ++s) keys.push_back(key_of(s));
+  std::vector<Observation> batch(kSeries);
+  for (std::size_t step = 0; step < 70; ++step) {
+    const auto want = clean.predict(keys);
+    const auto got = probed.predict(keys);
+    for (std::size_t s = 0; s < kSeries; ++s) {
+      ASSERT_EQ(got[s].ready, want[s].ready);
+      ASSERT_EQ(got[s].label, want[s].label);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[s].value),
+                std::bit_cast<std::uint64_t>(want[s].value))
+          << "series " << s << " step " << step;
+    }
+    for (std::size_t s = 0; s < kSeries; ++s) batch[s] = {keys[s], series[s][step]};
+    if (step % 5 == 0) {
+      auto poisoned = batch;
+      poisoned[step % kSeries].value = std::nan("");
+      EXPECT_THROW(probed.observe(poisoned), InvalidArgument);
+    }
+    clean.observe(batch);
+    probed.observe(batch);
+  }
+  const EngineStats a = clean.stats();
+  const EngineStats b = probed.stats();
+  EXPECT_EQ(b.observations, a.observations);
+  EXPECT_EQ(b.resolved, a.resolved);
+  EXPECT_EQ(b.trains, a.trains);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(b.mean_squared_error),
+            std::bit_cast<std::uint64_t>(a.mean_squared_error));
+}
+
+TEST(PredictionEngine, ReadinessPointDoesNotDependOnBatching) {
+  // A series trains on exactly its train_samples-th observation, whether
+  // samples arrive one call at a time or in mixed multi-series batches.
+  constexpr std::size_t kSeries = 5;
+  PredictionEngine single(predictors::make_paper_pool(5), small_config(1));
+  PredictionEngine batched(predictors::make_paper_pool(5), small_config(2, 3));
+  std::vector<std::vector<double>> series;
+  for (std::size_t s = 0; s < kSeries; ++s) series.push_back(ar1_series(40, 70 + s));
+  std::vector<Observation> batch;
+  for (std::size_t step = 0; step < 40; ++step) {
+    batch.clear();
+    for (std::size_t s = 0; s < kSeries; ++s) {
+      single.observe(key_of(s), series[s][step]);
+      batch.push_back({key_of(s), series[s][step]});
+    }
+    batched.observe(batch);
+    const bool ready = step + 1 >= 40;
+    for (std::size_t s = 0; s < kSeries; ++s) {
+      ASSERT_EQ(single.is_trained(key_of(s)), ready) << "step " << step;
+      ASSERT_EQ(batched.is_trained(key_of(s)), ready) << "step " << step;
+    }
+  }
+  EXPECT_EQ(single.stats().trains, kSeries);
+  EXPECT_EQ(batched.stats().trains, kSeries);
+  EXPECT_EQ(batched.stats().trained_series, kSeries);
 }
 
 TEST(PredictionEngine, LazyTrainsAfterTrainSamples) {

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -133,6 +134,90 @@ TEST(ThreadPool, ParallelForTailChunksPastEnd) {
     });
     for (std::size_t i = 0; i < total; ++i) EXPECT_EQ(hits[i].load(), 1);
   }
+}
+
+TEST(ThreadPool, ManyTinyParallelForsCompleteCleanly) {
+  // Completion-handoff regression: the last job of a parallel_for used to
+  // publish `remaining == 0` before locking the caller's done_mutex, so the
+  // caller could return and destroy that mutex while the job was about to
+  // lock it.  Thousands of back-to-back tiny calls keep the caller's frame
+  // being torn down and reused while workers finish; sanitizer builds flag
+  // the old handoff, plain builds may abort in pthread_mutex_lock.
+  ThreadPool pool(3);
+  std::atomic<std::size_t> total{0};
+  constexpr std::size_t kCalls = 20000;
+  for (std::size_t call = 0; call < kCalls; ++call) {
+    const std::size_t width = 2 + call % 4;
+    pool.parallel_for(0, width, [&](std::size_t) {
+      total.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  std::size_t want = 0;
+  for (std::size_t call = 0; call < kCalls; ++call) want += 2 + call % 4;
+  EXPECT_EQ(total.load(), want);
+}
+
+TEST(ThreadPool, ParallelForWritesAreVisibleWhenItReturns) {
+  // Plain (non-atomic) slots: the caller may read what the workers wrote
+  // the moment parallel_for returns — the completion handoff is the only
+  // synchronisation, and TSan builds check that it orders the writes.
+  ThreadPool pool(4);
+  for (std::size_t round = 0; round < 200; ++round) {
+    std::vector<std::size_t> out(37, 0);
+    pool.parallel_for(0, out.size(), [&](std::size_t i) { out[i] = i + round; });
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      ASSERT_EQ(out[i], i + round) << "round " << round;
+    }
+  }
+}
+
+TEST(ThreadPool, ParallelForFromSeveralCallersAtOnce) {
+  // Each caller's completion state lives in its own frame: interleaved
+  // chunks from concurrent calls must never credit the wrong caller.
+  ThreadPool pool(3);
+  constexpr std::size_t kCallers = 3;
+  constexpr std::size_t kCalls = 300;
+  std::vector<std::size_t> totals(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (std::size_t call = 0; call < kCalls; ++call) {
+        std::vector<std::size_t> hits(5 + c, 0);
+        pool.parallel_for(0, hits.size(), [&](std::size_t i) { hits[i] = 1; });
+        totals[c] += std::accumulate(hits.begin(), hits.end(), std::size_t{0});
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(totals[c], kCalls * (5 + c)) << "caller " << c;
+  }
+}
+
+TEST(ThreadPool, ParallelForRethrowsOnlyAfterEverySiblingChunkFinished) {
+  // 4 workers give 16 chunk slots; 100 iterations make chunks of 7, so index
+  // 0 throwing ends chunk [0, 7) early and every other chunk still runs in
+  // full before the exception reaches the caller.
+  ThreadPool pool(4);
+  std::atomic<std::size_t> ran{0};
+  EXPECT_THROW(pool.parallel_for(0, 100,
+                                 [&](std::size_t i) {
+                                   if (i == 0) throw std::logic_error("first");
+                                   ran.fetch_add(1);
+                                 }),
+               std::logic_error);
+  EXPECT_EQ(ran.load(), 100u - 7u);
+}
+
+TEST(ThreadPool, ParallelForOnOneWorkerRunsInIndexOrder) {
+  // A single worker drains the FIFO queue chunk by chunk, so the visit
+  // order is exactly begin..end.
+  ThreadPool pool(1);
+  std::vector<std::size_t> order;
+  pool.parallel_for(10, 30, [&](std::size_t i) { order.push_back(i); });
+  std::vector<std::size_t> want(20);
+  std::iota(want.begin(), want.end(), std::size_t{10});
+  EXPECT_EQ(order, want);
 }
 
 TEST(ParallelMap, CollectsResultsInOrder) {
