@@ -267,11 +267,9 @@ struct StorageMode {
   double bytes_per_series_hour = 0.0;   // at the 5-min sample cadence
   double restore_ms = 0.0;              // WAL-only replay of the full run
   std::uint64_t snapshot_file_bytes = 0;
-  std::uint64_t snapshot_raw_bytes = 0;      // v4 accounting: raw cost
-  std::uint64_t snapshot_encoded_bytes = 0;  // v4 accounting: actual cost
 };
 
-// Storage efficiency of the payload codec (engine payload v4): a
+// Storage efficiency of the payload codec (DESIGN.md §11): a
 // deterministic run logged with compressed block frames, then recovered
 // from the WAL alone so restore_ms is dominated by replay.
 // bytes/series/hour assumes the paper's 5-minute sample cadence (12
@@ -319,25 +317,18 @@ StorageMode bench_storage(const fs::path& scratch, bool quick) {
   for (const auto& info : persist::list_snapshots(dir)) {
     m.snapshot_file_bytes =
         std::max<std::uint64_t>(m.snapshot_file_bytes, fs::file_size(info.path));
-    const auto loaded = persist::load_snapshot(info.path);
-    const auto desc = serve::PredictionEngine::describe_payload(loaded.payload);
-    for (std::size_t s = 0; s < desc.raw_bytes.size(); ++s) {
-      m.snapshot_raw_bytes += desc.raw_bytes[s];
-      m.snapshot_encoded_bytes += desc.encoded_bytes[s];
-    }
   }
   fs::remove_all(dir);
 
   std::printf(
       "\nstorage codec (%zu series, %zu rounds, 5-min cadence, every-64)\n",
       series, rounds);
-  std::printf("%12s %10s %12s %16s %12s %14s\n", "wal bytes", "B/frame",
-              "B/series-h", "snapshot bytes", "snap raw", "restore ms");
-  std::printf("%12llu %10.1f %12.1f %16llu %12llu %14.2f\n",
+  std::printf("%12s %10s %12s %16s %14s\n", "wal bytes", "B/frame",
+              "B/series-h", "snapshot bytes", "restore ms");
+  std::printf("%12llu %10.1f %12.1f %16llu %14.2f\n",
               static_cast<unsigned long long>(m.wal_bytes),
               m.wal_bytes_per_frame, m.bytes_per_series_hour,
               static_cast<unsigned long long>(m.snapshot_file_bytes),
-              static_cast<unsigned long long>(m.snapshot_raw_bytes),
               m.restore_ms);
   return m;
 }
@@ -426,16 +417,12 @@ void write_json(const char* path, const std::vector<WalPoint>& wal,
                  "\"frames\": %llu, \"records\": %llu, "
                  "\"wal_bytes_per_frame\": %.1f, "
                  "\"bytes_per_series_hour\": %.1f, "
-                 "\"snapshot_bytes\": %llu, \"snapshot_raw_bytes\": %llu, "
-                 "\"snapshot_encoded_bytes\": %llu, "
-                 "\"restore_ms\": %.2f}\n",
+                 "\"snapshot_bytes\": %llu, \"restore_ms\": %.2f}\n",
                  static_cast<unsigned long long>(m.wal_bytes),
                  static_cast<unsigned long long>(m.frames),
                  static_cast<unsigned long long>(m.records),
                  m.wal_bytes_per_frame, m.bytes_per_series_hour,
                  static_cast<unsigned long long>(m.snapshot_file_bytes),
-                 static_cast<unsigned long long>(m.snapshot_raw_bytes),
-                 static_cast<unsigned long long>(m.snapshot_encoded_bytes),
                  m.restore_ms);
   }
   std::fprintf(out,

@@ -14,6 +14,9 @@ if [ ! -x "$CLI" ]; then
   echo "error: $CLI not found or not executable; build larp_cli first" >&2
   exit 1
 fi
+# A reused workdir (ctest passes a fixed one) must not hand the leader or
+# follower an earlier run's data directory: the smoke covers a fresh pair.
+rm -rf "$WORK/leader" "$WORK/follower"
 mkdir -p "$WORK"
 LEADER_LOG="$WORK/leader.log"
 FOLLOWER_LOG="$WORK/follower.log"

@@ -129,18 +129,25 @@ WalReplayReport replay_wal(const std::filesystem::path& dir, std::uint32_t shard
     }
     std::vector<std::byte> contents;
     SegmentScan scan;
+    // Set while `fn` runs: its exceptions are the caller's failure to apply
+    // an intact frame, not damage on disk, so they must not end the replay
+    // as a truncated tail (recovery would then delete the frame).
+    bool applying = false;
     try {
       contents = read_file(segments[i].path);
       scan = scan_segment(contents, shard, [&](std::uint64_t seq,
                                                std::span<const std::byte> payload) {
         if (seq >= from_seq) {
+          applying = true;
           fn(WalFrame{seq, payload});
+          applying = false;
           ++report.frames_delivered;
         } else {
           ++report.frames_skipped;
         }
       });
     } catch (const Error& e) {
+      if (applying) throw;
       LARP_LOG_WARN("persist") << "wal replay stopped at unreadable segment "
                                << segments[i].path.string() << ": " << e.what();
       report.truncated_tail = true;

@@ -251,6 +251,8 @@ struct WalReplayReport {
 /// Replays shard `shard`'s log from `dir`, invoking `fn` for every valid
 /// frame with seq >= from_seq, in sequence order.  Stops at the first
 /// invalid frame (torn tail or corruption) — the checksum-valid prefix rule.
+/// An exception thrown by `fn` is not damage: it propagates to the caller,
+/// with no report, so the frame it refused is never marked for truncation.
 WalReplayReport replay_wal(const std::filesystem::path& dir, std::uint32_t shard,
                            std::uint64_t from_seq,
                            const std::function<void(const WalFrame&)>& fn);

@@ -1,6 +1,7 @@
 #include "selection/nws_selector.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/error.hpp"
 
@@ -78,11 +79,13 @@ void EwmaMseSelector::reset() {
 std::size_t EwmaMseSelector::select(std::span<const double> /*window*/) {
   // Argmin over SCORED members only (see seen_): before any feedback every
   // tracker reads 0.0, and an unseen member must not win on that phantom
-  // zero once real errors exist.  Cold start (nothing seen) keeps the
-  // documented label-0 fallback.
+  // zero once real errors exist.  A non-finite score is skipped as
+  // argmin_label skips it: a NaN never compares less-than, so a NaN `best`
+  // would otherwise win every later step.  Cold start (nothing seen or
+  // nothing finite) keeps the documented label-0 fallback.
   std::size_t best = weighted_sq_.size();
   for (std::size_t i = 0; i < weighted_sq_.size(); ++i) {
-    if (!seen_[i]) continue;
+    if (!seen_[i] || !std::isfinite(weighted_sq_[i])) continue;
     if (best == weighted_sq_.size() || weighted_sq_[i] < weighted_sq_[best]) {
       best = i;
     }

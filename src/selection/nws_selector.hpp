@@ -48,7 +48,9 @@ class EwmaMseSelector final : public Selector {
   void reset() override;
   /// Unscored members are excluded from the argmin: an unseen tracker reads
   /// 0.0 and would otherwise beat every member with real (nonzero) error.
-  /// Falls back to label 0 only while NO member has been scored.
+  /// Members whose score is non-finite (a NaN forecast was recorded) are
+  /// excluded too.  Falls back to label 0 while no member has a finite
+  /// score.
   [[nodiscard]] std::size_t select(std::span<const double> window) override;
   void record(std::span<const double> forecasts, double actual) override;
   [[nodiscard]] std::unique_ptr<Selector> clone() const override;

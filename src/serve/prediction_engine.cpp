@@ -29,41 +29,20 @@ std::uint64_t now_nanos() {
 }
 
 // Engine snapshot payload version (inside the persist::snapshot container,
-// which carries its own format version and checksum).
+// which carries its own format version and checksum).  The v5 layout:
 //
-//   v1 — engine-global observe/predict counters after the config, then the
-//        shard sections each leading with their own WAL watermark (written
-//        by the old stop-the-world snapshot);
-//   v2 — a shard-count-prefixed watermark table after the config (written
-//        up front so restore knows every shard's replay cut before reading
-//        any section), then the shard sections, each carrying its own
-//        traffic counters.  Written by the incremental snapshot.
-//   v3 — v2 plus a cold-start selector tier block in the config (a tier
-//        byte, seven tuning fields and the tier's sample threshold) and a
-//        per-shard fast_trains counter.  The tier has since been removed
-//        (DESIGN.md §10): the writer zeroes both, and the reader refuses a
-//        payload whose tier byte or sample threshold is non-zero, since
-//        this build cannot reproduce that predictor.
-//   v4 — v3 plus Gorilla-style compression (DESIGN.md §11): a per-shard
-//        raw-vs-encoded byte accounting table after the watermark table,
-//        and shard sections that carry the WAL payload codec state
-//        (dictionary + XOR chains, cut at the shard's watermark) and
-//        bit-packed series blocks — XOR-encoded history samples and
-//        delta-of-delta/XOR prediction records.  Predictor internals stay
-//        in their own opaque save_state() encoding.
+//   u32 version, the identity-defining engine config, then a
+//   shard-count-prefixed WAL watermark table (up front, so restore knows
+//   every shard's replay cut before reading any section), then one section
+//   per shard: its traffic and QA counters, the WAL payload codec state
+//   (dictionary + XOR chains, cut at the shard's watermark) and its series,
+//   each with an XOR-encoded history block, its predictor's opaque
+//   save_state() encoding and a delta-of-delta/XOR prediction-record block
+//   (DESIGN.md §11).
 //
-// restore() reads all four: v1 maps its global counters onto shard 0,
-// which preserves every aggregate stats() total.  WAL replay still accepts
-// the per-op frames pre-v4 engines wrote (v1/v3 directories hold them);
-// the writer emits only compressed block frames.
-constexpr std::uint32_t kEnginePayloadVersion = 4;
-
-// WAL frame types.  predict() frames matter for bit-identical recovery:
-// predict_next() mutates the predictor's pending-forecast state and the
-// prediction DB, both of which feed the residual/uncertainty stream.
-constexpr std::uint8_t kWalObserve = 0;
-constexpr std::uint8_t kWalPredict = 1;
-constexpr std::uint8_t kWalErase = 2;
+// restore() reads exactly this version; a payload of any other version is
+// refused as CorruptData rather than misread.
+constexpr std::uint32_t kEnginePayloadVersion = 5;
 
 std::uint8_t checked_enum(persist::io::Reader& r, const char* what) {
   const std::uint8_t v = r.u8();
@@ -97,17 +76,9 @@ void save_engine_config(persist::io::Writer& w, const EngineConfig& c) {
   w.u64(c.train_samples);
   w.u64(c.history_capacity);
   w.u64(c.audit_every);
-  // v3's cold-start tier block, kept zeroed so the v4 layout (and snapshot
-  // size) is unchanged: tier byte, four u64 and three f64 tuning fields,
-  // the tier's sample threshold.
-  w.u8(0);
-  for (int i = 0; i < 4; ++i) w.u64(0);
-  for (int i = 0; i < 3; ++i) w.f64(0.0);
-  w.u64(0);
 }
 
-void load_engine_config(persist::io::Reader& r, EngineConfig& c,
-                        std::uint32_t payload_version) {
+void load_engine_config(persist::io::Reader& r, EngineConfig& c) {
   auto& l = c.lar;
   l.window = static_cast<std::size_t>(r.u64());
   l.pca_components = static_cast<std::size_t>(r.u64());
@@ -132,21 +103,27 @@ void load_engine_config(persist::io::Reader& r, EngineConfig& c,
   c.train_samples = static_cast<std::size_t>(r.u64());
   c.history_capacity = static_cast<std::size_t>(r.u64());
   c.audit_every = static_cast<std::size_t>(r.u64());
-  if (payload_version >= 3) {
-    // The removed cold-start tier: its tuning fields are skipped, but a
-    // payload that had the tier switched on describes forecasts this build
-    // can no longer reproduce.
-    if (r.u8() != 0) {
-      throw persist::CorruptData(
-          "engine snapshot: cold-start selector tier is no longer supported");
-    }
-    for (int i = 0; i < 4; ++i) (void)r.u64();
-    for (int i = 0; i < 3; ++i) (void)r.f64();
-    if (r.u64() != 0) {
-      throw persist::CorruptData(
-          "engine snapshot: cold-start tier threshold is no longer supported");
-    }
+}
+
+// Reads everything ahead of the shard sections: the payload version, the
+// engine config into `c`, and the per-shard WAL watermark table (returned).
+std::vector<std::uint64_t> load_payload_header(persist::io::Reader& r,
+                                               EngineConfig& c) {
+  const std::uint32_t version = r.u32();
+  if (version != kEnginePayloadVersion) {
+    throw persist::CorruptData("engine snapshot: unsupported payload version " +
+                               std::to_string(version));
   }
+  load_engine_config(r, c);
+  const auto table_shards = static_cast<std::size_t>(
+      r.length(r.u64(), sizeof(std::uint64_t)));
+  if (table_shards != c.shards) {
+    throw persist::CorruptData(
+        "engine snapshot: watermark table size disagrees with the shard count");
+  }
+  std::vector<std::uint64_t> watermarks(table_shards);
+  for (auto& watermark : watermarks) watermark = r.u64();
+  return watermarks;
 }
 
 }  // namespace
@@ -473,7 +450,7 @@ void PredictionEngine::predict_shard(Shard& shard,
     // Follower reads are side-effect free: no WAL frame (the follower's log
     // must stay a byte copy of the leader's) and no prediction-DB record or
     // pending-forecast update (those replicate in via the leader's own
-    // kWalPredict frames).
+    // predict ops).
     shard.predict_count.fetch_add(indices.size(), std::memory_order_relaxed);
     for (std::size_t i : indices) {
       out[i] = peek_forecast(shard, keys[i]);
@@ -580,9 +557,10 @@ void PredictionEngine::replicate_frames(
   if (frames.empty()) return;
   Shard& shard = *shards_[shard_id];
   const auto lock = lock_shard(shard);
-  // Verify contiguity against the shard's position before any byte is
-  // logged: a gap or rewind means the stream and this engine disagree about
-  // history, and appending would fork the log.
+  // Verify contiguity and framing against the shard's position before any
+  // byte is logged: a gap or rewind means the stream and this engine
+  // disagree about history, and appending would fork the log; a payload
+  // that is not a block frame could never be replayed from it.
   std::uint64_t expect =
       shard.wal ? shard.wal->next_seq()
                 : shard.replicated_next.load(std::memory_order_relaxed);
@@ -591,6 +569,12 @@ void PredictionEngine::replicate_frames(
       throw StateError("replicate_frames: shard " + std::to_string(shard_id) +
                        " expected seq " + std::to_string(expect) + ", got " +
                        std::to_string(frame.seq));
+    }
+    if (!WalPayloadCodec::is_block(frame.payload)) {
+      throw persist::CorruptData("replicate_frames: shard " +
+                                 std::to_string(shard_id) + " seq " +
+                                 std::to_string(frame.seq) +
+                                 " is not a block frame");
     }
     ++expect;
   }
@@ -637,18 +621,7 @@ void PredictionEngine::set_replication_floor(
   }
 }
 
-void PredictionEngine::save_shard(persist::io::Writer& w, Shard& shard,
-                                  std::uint64_t& raw_bytes,
-                                  std::uint64_t& encoded_bytes) const {
-  // Accounting: `raw_repr` totals the bytes the compressed fields would
-  // have cost in the raw v3 encoding; `comp_bytes` totals what their v4
-  // representation (codec table included) actually costs.  The rest of the
-  // section is identical in both layouts, so
-  //   raw    = actual - comp_bytes + raw_repr
-  //   actual = section bytes as written.
-  const std::size_t section_start = w.size();
-  std::uint64_t raw_repr = 0;
-  std::uint64_t comp_bytes = 0;
+void PredictionEngine::save_shard(persist::io::Writer& w, Shard& shard) const {
   persist::codec::BlockWriter block;
 
   w.u64(shard.observe_count.load(std::memory_order_relaxed));
@@ -657,19 +630,12 @@ void PredictionEngine::save_shard(persist::io::Writer& w, Shard& shard,
   w.f64(shard.abs_error_sum.load(std::memory_order_relaxed));
   w.f64(shard.sq_error_sum.load(std::memory_order_relaxed));
   w.u64(shard.trains.load(std::memory_order_relaxed));
-  w.u64(0);  // v3's fast_trains counter (the removed cold-start tier)
   w.u64(shard.retrains.load(std::memory_order_relaxed));
   w.u64(shard.erases.load(std::memory_order_relaxed));
   w.u64(shard.qa->audits_performed());
   w.u64(shard.qa->retrains_ordered());
-
-  // v4: the WAL payload codec state at this shard's watermark cut — pure
-  // overhead relative to v3, charged to the compressed side.
-  {
-    const std::size_t at = w.size();
-    shard.codec.save(w);
-    comp_bytes += w.size() - at;
-  }
+  // The WAL payload codec state at this shard's watermark cut.
+  shard.codec.save(w);
 
   w.u64(shard.series.size());
   std::vector<double> history_scratch;
@@ -684,14 +650,8 @@ void PredictionEngine::save_shard(persist::io::Writer& w, Shard& shard,
     history_scratch.assign(state.history.begin(), state.history.end());
     block.clear();
     persist::codec::encode_f64_block(block, history_scratch);
-    {
-      const auto bytes = block.bytes();
-      const std::size_t at = w.size();
-      w.u64(bytes.size());
-      w.bytes(bytes);
-      comp_bytes += w.size() - at;
-      raw_repr += 8 * state.history.size();
-    }
+    w.u64(block.bytes().size());
+    w.bytes(block.bytes());
 
     w.i64(static_cast<std::int64_t>(state.next_ts));
     w.u64(state.since_audit);
@@ -718,40 +678,23 @@ void PredictionEngine::save_shard(persist::io::Writer& w, Shard& shard,
                                         *record.observed);
       }
       block.uvarint(record.predictor_label);
-      raw_repr += 8 + 8 + 1 + (record.observed ? 8 : 0) + 8;
     }
-    {
-      const auto bytes = block.bytes();
-      const std::size_t at = w.size();
-      w.u64(bytes.size());
-      w.bytes(bytes);
-      comp_bytes += w.size() - at;
-    }
+    w.u64(block.bytes().size());
+    w.bytes(block.bytes());
   }
-
-  const std::uint64_t actual = w.size() - section_start;
-  encoded_bytes += actual;
-  raw_bytes += actual - comp_bytes + raw_repr;
 }
 
-std::uint64_t PredictionEngine::load_shard(persist::io::Reader& r, Shard& shard,
-                                           std::uint32_t payload_version) {
-  std::uint64_t watermark = 0;
-  if (payload_version == 1) {
-    watermark = r.u64();
-  } else {
-    shard.observe_count.store(static_cast<std::size_t>(r.u64()),
-                              std::memory_order_relaxed);
-    shard.predict_count.store(static_cast<std::size_t>(r.u64()),
-                              std::memory_order_relaxed);
-  }
+void PredictionEngine::load_shard(persist::io::Reader& r, Shard& shard) {
+  shard.observe_count.store(static_cast<std::size_t>(r.u64()),
+                            std::memory_order_relaxed);
+  shard.predict_count.store(static_cast<std::size_t>(r.u64()),
+                            std::memory_order_relaxed);
   shard.resolved.store(static_cast<std::size_t>(r.u64()),
                        std::memory_order_relaxed);
   shard.abs_error_sum.store(r.f64(), std::memory_order_relaxed);
   shard.sq_error_sum.store(r.f64(), std::memory_order_relaxed);
   shard.trains.store(static_cast<std::size_t>(r.u64()),
                      std::memory_order_relaxed);
-  if (payload_version >= 3) (void)r.u64();  // fast_trains (removed tier)
   shard.retrains.store(static_cast<std::size_t>(r.u64()),
                        std::memory_order_relaxed);
   shard.erases.store(static_cast<std::size_t>(r.u64()),
@@ -760,30 +703,19 @@ std::uint64_t PredictionEngine::load_shard(persist::io::Reader& r, Shard& shard,
   const auto qa_retrains = static_cast<std::size_t>(r.u64());
   shard.qa->restore_counters(audits, qa_retrains);
   shard.audits.store(audits, std::memory_order_relaxed);
-  if (payload_version >= 4) {
-    shard.codec.load(r);
-  }
+  shard.codec.load(r);
   const auto series_count =
       static_cast<std::size_t>(r.length(r.u64(), sizeof(std::uint64_t)));
   std::vector<double> history_scratch;
   for (std::size_t i = 0; i < series_count; ++i) {
     tsdb::SeriesKey key{r.str(), r.str(), r.str()};
     SeriesState& state = shard.series[key];
-    if (payload_version >= 4) {
-      const auto samples = static_cast<std::size_t>(r.length(r.u64(), 1));
-      const auto block_bytes =
-          static_cast<std::size_t>(r.length(r.u64(), 1));
-      persist::codec::BlockReader block(r.bytes(block_bytes));
-      history_scratch.clear();
-      (void)persist::codec::decode_f64_block(block, samples, history_scratch);
-      state.history.assign(history_scratch.begin(), history_scratch.end());
-    } else {
-      const auto samples =
-          static_cast<std::size_t>(r.length(r.u64(), sizeof(double)));
-      for (std::size_t j = 0; j < samples; ++j) {
-        state.history.push_back(r.f64());
-      }
-    }
+    const auto samples = static_cast<std::size_t>(r.length(r.u64(), 1));
+    const auto history_bytes = static_cast<std::size_t>(r.length(r.u64(), 1));
+    persist::codec::BlockReader history(r.bytes(history_bytes));
+    history_scratch.clear();
+    (void)persist::codec::decode_f64_block(history, samples, history_scratch);
+    state.history.assign(history_scratch.begin(), history_scratch.end());
     state.next_ts = static_cast<Timestamp>(r.i64());
     state.since_audit = static_cast<std::size_t>(r.u64());
     state.retrain_requested = r.boolean();
@@ -791,37 +723,21 @@ std::uint64_t PredictionEngine::load_shard(persist::io::Reader& r, Shard& shard,
       state.predictor.emplace(pool_prototype_.clone(), config_.lar);
       state.predictor->load_state(r);
     }
-    if (payload_version >= 4) {
-      const auto records = static_cast<std::size_t>(r.length(r.u64(), 1));
-      const auto block_bytes =
-          static_cast<std::size_t>(r.length(r.u64(), 1));
-      persist::codec::BlockReader block(r.bytes(block_bytes));
-      persist::codec::DodDecoder ts_dec;
-      persist::codec::XorState predicted_state;
-      persist::codec::XorState observed_state;
-      for (std::size_t j = 0; j < records; ++j) {
-        const auto ts = static_cast<Timestamp>(ts_dec.get(block));
-        tsdb::PredictionRecord record;
-        record.predicted =
-            persist::codec::XorDecoder::get(block, predicted_state);
-        if (block.bit()) {
-          record.observed =
-              persist::codec::XorDecoder::get(block, observed_state);
-        }
-        record.predictor_label = static_cast<std::size_t>(block.uvarint());
-        shard.predictions.restore_record(key, ts, record);
+    const auto records = static_cast<std::size_t>(r.length(r.u64(), 1));
+    const auto record_bytes = static_cast<std::size_t>(r.length(r.u64(), 1));
+    persist::codec::BlockReader block(r.bytes(record_bytes));
+    persist::codec::DodDecoder ts_dec;
+    persist::codec::XorState predicted_state;
+    persist::codec::XorState observed_state;
+    for (std::size_t j = 0; j < records; ++j) {
+      const auto ts = static_cast<Timestamp>(ts_dec.get(block));
+      tsdb::PredictionRecord record;
+      record.predicted = persist::codec::XorDecoder::get(block, predicted_state);
+      if (block.bit()) {
+        record.observed = persist::codec::XorDecoder::get(block, observed_state);
       }
-    } else {
-      const auto records =
-          static_cast<std::size_t>(r.length(r.u64(), sizeof(std::uint64_t)));
-      for (std::size_t j = 0; j < records; ++j) {
-        const auto ts = static_cast<Timestamp>(r.i64());
-        tsdb::PredictionRecord record;
-        record.predicted = r.f64();
-        if (r.boolean()) record.observed = r.f64();
-        record.predictor_label = static_cast<std::size_t>(r.u64());
-        shard.predictions.restore_record(key, ts, record);
-      }
+      record.predictor_label = static_cast<std::size_t>(block.uvarint());
+      shard.predictions.restore_record(key, ts, record);
     }
   }
   // Re-seed the lock-free stats() mirrors from the restored series map.
@@ -831,7 +747,6 @@ std::uint64_t PredictionEngine::load_shard(persist::io::Reader& r, Shard& shard,
   }
   shard.series_count.store(shard.series.size(), std::memory_order_relaxed);
   shard.trained_count.store(trained, std::memory_order_relaxed);
-  return watermark;
 }
 
 std::uint64_t PredictionEngine::snapshot(const std::filesystem::path& dir) {
@@ -846,8 +761,6 @@ std::uint64_t PredictionEngine::snapshot(const std::filesystem::path& dir) {
   // at different instants.
   persist::io::Writer body;
   std::vector<std::uint64_t> watermarks(shards_.size(), 0);
-  std::vector<std::uint64_t> raw_bytes(shards_.size(), 0);
-  std::vector<std::uint64_t> encoded_bytes(shards_.size(), 0);
   std::uint64_t max_pause_nanos = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
@@ -856,26 +769,18 @@ std::uint64_t PredictionEngine::snapshot(const std::filesystem::path& dir) {
     if (shard.wal) {
       watermarks[s] = shard.wal->flush();
     }
-    save_shard(body, shard, raw_bytes[s], encoded_bytes[s]);
+    save_shard(body, shard);
     max_pause_nanos = std::max(max_pause_nanos, nanos_since(locked_at));
   }
 
   // Assemble the published payload: the watermark table travels up front
   // (restore must know every shard's replay cut before the sections), the
-  // v4 byte-accounting table follows it (what each section would have cost
-  // raw vs what it actually cost — read by `larp_cli inspect-snapshot` and
-  // the durability bench without deserializing the sections), the staged
-  // sections close the payload verbatim.
+  // staged sections close the payload verbatim.
   persist::io::Writer w;
   w.u32(kEnginePayloadVersion);
   save_engine_config(w, config_);
   w.u64(shards_.size());
   for (std::uint64_t watermark : watermarks) w.u64(watermark);
-  w.u64(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    w.u64(raw_bytes[s]);
-    w.u64(encoded_bytes[s]);
-  }
   w.bytes(body.bytes());
 
   const auto existing = persist::list_snapshots(dir);
@@ -912,37 +817,23 @@ std::uint64_t PredictionEngine::snapshot() {
 
 void PredictionEngine::apply_wal_frame(Shard& shard,
                                        std::span<const std::byte> payload) {
-  if (WalPayloadCodec::is_block(payload)) {
-    shard.codec.decode_block(payload, [&](const WalOp& op) {
-      apply_op(shard, op.type, *op.key, op.value);
-    });
-    return;
-  }
-  persist::io::Reader r{payload};
-  const std::uint8_t type = r.u8();
-  tsdb::SeriesKey key{r.str(), r.str(), r.str()};
-  const double value = type == kWalObserve ? r.f64() : 0.0;
-  apply_op(shard, type, key, value);
-}
-
-void PredictionEngine::apply_op(Shard& shard, std::uint8_t type,
-                                const tsdb::SeriesKey& key, double value) {
-  switch (type) {
-    case kWalObserve:
-      shard.observe_count.fetch_add(1, std::memory_order_relaxed);
-      absorb(shard, key, value);
-      break;
-    case kWalPredict:
-      shard.predict_count.fetch_add(1, std::memory_order_relaxed);
-      (void)forecast(shard, key);
-      break;
-    case kWalErase:
-      (void)erase_locked(shard, key);
-      break;
-    default:
-      throw persist::CorruptData("wal frame: unknown type " +
-                                 std::to_string(type));
-  }
+  // decode_block refuses, as CorruptData, a payload without the block
+  // marker and an op type outside the three below.
+  shard.codec.decode_block(payload, [&](const WalOp& op) {
+    switch (op.type) {
+      case kWalObserve:
+        shard.observe_count.fetch_add(1, std::memory_order_relaxed);
+        absorb(shard, *op.key, op.value);
+        break;
+      case kWalPredict:
+        shard.predict_count.fetch_add(1, std::memory_order_relaxed);
+        (void)forecast(shard, *op.key);
+        break;
+      case kWalErase:
+        (void)erase_locked(shard, *op.key);
+        break;
+    }
+  });
 }
 
 std::unique_ptr<PredictionEngine> PredictionEngine::restore(
@@ -952,17 +843,12 @@ std::unique_ptr<PredictionEngine> PredictionEngine::restore(
 
   EngineConfig config = config_override.value_or(EngineConfig{});
   std::optional<persist::io::Reader> reader;
-  std::uint32_t payload_version = kEnginePayloadVersion;
+  std::vector<std::uint64_t> watermarks;
   if (loaded) {
     reader.emplace(std::span<const std::byte>(loaded->payload));
-    payload_version = reader->u32();
-    if (payload_version == 0 || payload_version > kEnginePayloadVersion) {
-      throw persist::CorruptData("engine snapshot: unsupported payload version " +
-                                 std::to_string(payload_version));
-    }
     // Identity-defining fields come from the snapshot; the override only
     // contributes runtime knobs (threads + durability tuning, read below).
-    load_engine_config(*reader, config, payload_version);
+    watermarks = load_payload_header(*reader, config);
   }
   DurabilityConfig durability = config.durability;
   durability.data_dir = dir;
@@ -974,49 +860,9 @@ std::unique_ptr<PredictionEngine> PredictionEngine::restore(
   auto engine = std::make_unique<PredictionEngine>(std::move(pool_prototype),
                                                    std::move(boot));
 
-  std::vector<std::uint64_t> watermarks(engine->shards_.size(), 0);
+  watermarks.resize(engine->shards_.size(), 0);
   if (loaded) {
-    if (payload_version == 1) {
-      // v1 compat: the engine-global traffic counters land on shard 0, so
-      // every stats() aggregate a v1 snapshot recorded is preserved; the
-      // per-shard watermarks come from the section heads below.
-      engine->shards_[0]->observe_count.store(
-          static_cast<std::size_t>(reader->u64()), std::memory_order_relaxed);
-      engine->shards_[0]->predict_count.store(
-          static_cast<std::size_t>(reader->u64()), std::memory_order_relaxed);
-    } else {
-      const auto table_shards = static_cast<std::size_t>(
-          reader->length(reader->u64(), sizeof(std::uint64_t)));
-      if (table_shards != engine->shards_.size()) {
-        throw persist::CorruptData(
-            "engine snapshot: watermark table size disagrees with the shard "
-            "count");
-      }
-      for (std::size_t s = 0; s < table_shards; ++s) {
-        watermarks[s] = reader->u64();
-      }
-    }
-    if (payload_version >= 4) {
-      // The byte-accounting table is advisory (inspect/bench only) — restore
-      // just walks past it, but still validates the shape so a truncated
-      // payload fails loudly here instead of mid-section.
-      const auto table_shards = static_cast<std::size_t>(
-          reader->length(reader->u64(), 2 * sizeof(std::uint64_t)));
-      if (table_shards != engine->shards_.size()) {
-        throw persist::CorruptData(
-            "engine snapshot: accounting table size disagrees with the shard "
-            "count");
-      }
-      for (std::size_t s = 0; s < table_shards; ++s) {
-        (void)reader->u64();  // raw bytes
-        (void)reader->u64();  // encoded bytes
-      }
-    }
-    for (std::size_t s = 0; s < engine->shards_.size(); ++s) {
-      const std::uint64_t v1_mark =
-          engine->load_shard(*reader, *engine->shards_[s], payload_version);
-      if (payload_version == 1) watermarks[s] = v1_mark;
-    }
+    for (auto& shard : engine->shards_) engine->load_shard(*reader, *shard);
   }
 
   persist::ensure_directory(dir);
@@ -1039,18 +885,26 @@ std::unique_ptr<PredictionEngine> PredictionEngine::restore(
         "with " + std::to_string(engine->shards_.size()) +
         " — pass the EngineConfig the logs were written under");
   }
+  // Replay every shard before any file is touched: a frame that is intact
+  // on disk but cannot be applied throws out of replay_wal, and restore()
+  // must then fail with every log still as it found it.
+  std::vector<persist::WalReplayReport> reports(engine->shards_.size());
   for (std::size_t s = 0; s < engine->shards_.size(); ++s) {
     Shard& shard = *engine->shards_[s];
     std::lock_guard lock(shard.mutex);
-    const auto report = persist::replay_wal(
+    reports[s] = persist::replay_wal(
         dir, static_cast<std::uint32_t>(s), watermarks[s],
         [&](const persist::WalFrame& frame) {
           engine->apply_wal_frame(shard, frame.payload);
         });
+  }
+  for (std::size_t s = 0; s < engine->shards_.size(); ++s) {
+    Shard& shard = *engine->shards_[s];
+    std::lock_guard lock(shard.mutex);
     // The writer resumes after the last frame actually applied; max() covers
     // a log that lags the snapshot (e.g. segments pruned or lost wholesale).
-    const std::uint64_t next = std::max(watermarks[s], report.next_seq);
-    if (report.truncated_tail) {
+    const std::uint64_t next = std::max(watermarks[s], reports[s].next_seq);
+    if (reports[s].truncated_tail) {
       // A torn or corrupt suffix was skipped — physically discard it so the
       // on-disk log agrees with the state we restored.
       persist::repair_wal(dir, static_cast<std::uint32_t>(s), next);
@@ -1069,40 +923,11 @@ std::unique_ptr<PredictionEngine> PredictionEngine::restore(
 PredictionEngine::SnapshotDescription PredictionEngine::describe_payload(
     std::span<const std::byte> payload) {
   persist::io::Reader r{payload};
-  SnapshotDescription d;
-  d.payload_version = r.u32();
-  if (d.payload_version == 0 || d.payload_version > kEnginePayloadVersion) {
-    throw persist::CorruptData("engine snapshot: unsupported payload version " +
-                               std::to_string(d.payload_version));
-  }
   EngineConfig config;
-  load_engine_config(r, config, d.payload_version);
+  SnapshotDescription d;
+  d.watermarks = load_payload_header(r, config);
+  d.payload_version = kEnginePayloadVersion;
   d.shards = config.shards;
-  if (d.payload_version >= 2) {
-    const auto table_shards = static_cast<std::size_t>(
-        r.length(r.u64(), sizeof(std::uint64_t)));
-    if (table_shards != d.shards) {
-      throw persist::CorruptData(
-          "engine snapshot: watermark table size disagrees with the shard "
-          "count");
-    }
-    for (std::size_t s = 0; s < table_shards; ++s) {
-      d.watermarks.push_back(r.u64());
-    }
-  }
-  if (d.payload_version >= 4) {
-    const auto table_shards = static_cast<std::size_t>(
-        r.length(r.u64(), 2 * sizeof(std::uint64_t)));
-    if (table_shards != d.shards) {
-      throw persist::CorruptData(
-          "engine snapshot: accounting table size disagrees with the shard "
-          "count");
-    }
-    for (std::size_t s = 0; s < table_shards; ++s) {
-      d.raw_bytes.push_back(r.u64());
-      d.encoded_bytes.push_back(r.u64());
-    }
-  }
   return d;
 }
 

@@ -238,16 +238,13 @@ class PredictionEngine {
   void sync_wals_if_due();
 
   /// Cheap structural description of an engine snapshot payload (no engine
-  /// construction, no predictor state parsed): payload version, per-shard
-  /// WAL watermarks (v2+), and the raw-vs-encoded storage accounting the v4
-  /// writer embeds — what `larp_cli inspect-snapshot` prints so compression
-  /// ratios are observable in production without a bench run.
+  /// construction, no shard section parsed): payload version, shard count
+  /// and per-shard WAL watermarks — what `larp_cli inspect-snapshot` prints.
+  /// Throws persist::CorruptData for a payload of any other version.
   struct SnapshotDescription {
     std::uint32_t payload_version = 0;
     std::uint64_t shards = 0;
-    std::vector<std::uint64_t> watermarks;        // empty below v2
-    std::vector<std::uint64_t> raw_bytes;         // empty below v4
-    std::vector<std::uint64_t> encoded_bytes;     // empty below v4
+    std::vector<std::uint64_t> watermarks;
   };
   [[nodiscard]] static SnapshotDescription describe_payload(
       std::span<const std::byte> payload);
@@ -266,7 +263,9 @@ class PredictionEngine {
   /// follower's directory restores and resumes like a leader's.  Each
   /// frame's seq must equal the shard's current position; a gap or rewind
   /// throws StateError (the replication client must re-resume or
-  /// re-bootstrap rather than fork the log).
+  /// re-bootstrap rather than fork the log), and a payload that is not a
+  /// WAL block frame throws persist::CorruptData.  Both checks run before
+  /// any frame is logged or applied.
   void replicate_frames(std::uint32_t shard_id,
                         std::span<const ReplicatedFrame> frames);
 
@@ -336,7 +335,7 @@ class PredictionEngine {
     std::optional<persist::WalWriter> wal;
     // Compressed-payload state machine (dictionary + per-series XOR
     // chains), advanced at stage time by the write path and at decode time
-    // by replay/replication; persisted in the v4 snapshot at the shard's
+    // by replay/replication; persisted in the snapshot at the shard's
     // watermark cut.  Its block buffer is reused across frames, so
     // steady-state WAL appends allocate nothing once capacities are
     // established.  Mutated only under the shard mutex.
@@ -387,24 +386,15 @@ class PredictionEngine {
   /// Builds and starts the maintenance thread (async syncer and/or the
   /// Sync-mode Interval idle tick); no-op when neither is needed.
   void start_syncer();
-  /// Serializes one shard section (payload v4: codec table + compressed
-  /// series blocks), accumulating the raw-equivalent and actual byte counts
-  /// into the accounting out-params.
-  void save_shard(persist::io::Writer& w, Shard& shard,
-                  std::uint64_t& raw_bytes, std::uint64_t& encoded_bytes) const;
-  /// Reads one shard section.  `payload_version` selects the layout: v1
-  /// sections lead with the shard's WAL watermark (returned); v2 sections
-  /// carry per-shard traffic counters instead and the watermark lives in
-  /// the payload-level table (returns 0).
-  std::uint64_t load_shard(persist::io::Reader& r, Shard& shard,
-                           std::uint32_t payload_version);
-  /// Applies one replayed WAL frame to its shard — a legacy per-op payload
-  /// or a compressed block (dispatched on the payload's first byte; blocks
-  /// advance the shard codec exactly as encoding them did).
+  /// Serializes one shard section: counters, codec table and compressed
+  /// series blocks.
+  void save_shard(persist::io::Writer& w, Shard& shard) const;
+  /// Reads one shard section written by save_shard().
+  void load_shard(persist::io::Reader& r, Shard& shard);
+  /// Applies one replayed or replicated WAL block frame to its shard,
+  /// advancing the shard codec exactly as encoding it did.  Throws
+  /// persist::CorruptData for a payload that is not a well-formed block.
   void apply_wal_frame(Shard& shard, std::span<const std::byte> payload);
-  /// Applies one logical operation (the body both frame formats decode to).
-  void apply_op(Shard& shard, std::uint8_t type, const tsdb::SeriesKey& key,
-                double value);
 
   /// Groups batch indices by shard and runs fn(shard_id, indices) across
   /// the worker pool, one task per shard with work.

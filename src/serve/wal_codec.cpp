@@ -9,11 +9,6 @@ namespace larp::serve {
 
 namespace {
 
-// Block op types mirror the legacy WAL frame type bytes.
-constexpr std::uint8_t kOpObserve = 0;
-constexpr std::uint8_t kOpPredict = 1;
-constexpr std::uint8_t kOpErase = 2;
-
 constexpr std::size_t kMaxKeyPart = 1u << 20;  // sanity bound on decode
 
 void put_string(persist::codec::BlockWriter& w, const std::string& s) {
@@ -78,20 +73,20 @@ void WalPayloadCodec::begin_block(std::size_t op_count) {
 }
 
 void WalPayloadCodec::add_observe(const tsdb::SeriesKey& key, double value) {
-  writer_.bits(kOpObserve, 2);
+  writer_.bits(kWalObserve, 2);
   const std::uint32_t id = intern(key, /*encode=*/true);
   persist::codec::XorEncoder::put(writer_, values_[id], value);
   ++added_ops_;
 }
 
 void WalPayloadCodec::add_predict(const tsdb::SeriesKey& key) {
-  writer_.bits(kOpPredict, 2);
+  writer_.bits(kWalPredict, 2);
   (void)intern(key, /*encode=*/true);
   ++added_ops_;
 }
 
 void WalPayloadCodec::add_erase(const tsdb::SeriesKey& key) {
-  writer_.bits(kOpErase, 2);
+  writer_.bits(kWalErase, 2);
   // The dictionary entry outlives the series: ids must stay stable for any
   // frame already written, and a re-created series resumes the chain.
   (void)intern(key, /*encode=*/true);
@@ -107,7 +102,9 @@ std::span<const std::byte> WalPayloadCodec::finish_block() {
 
 std::size_t WalPayloadCodec::payload_weight(
     std::span<const std::byte> payload) {
-  if (!is_block(payload)) return 1;
+  if (!is_block(payload)) {
+    throw persist::CorruptData("wal frame: payload is not a block");
+  }
   persist::codec::BlockReader r(payload);
   (void)r.bits(8);  // marker
   return static_cast<std::size_t>(std::max<std::uint64_t>(1, r.uvarint()));
@@ -149,11 +146,11 @@ void WalPayloadCodec::decode_block(
   for (std::uint64_t i = 0; i < count; ++i) {
     WalOp op;
     op.type = static_cast<std::uint8_t>(r.bits(2));
-    if (op.type > kOpErase) {
+    if (op.type > kWalErase) {
       throw persist::CorruptData("wal block: unknown op type");
     }
     const std::uint32_t id = get_key(r);
-    if (op.type == kOpObserve) {
+    if (op.type == kWalObserve) {
       op.value = persist::codec::XorDecoder::get(r, values_[id]);
     }
     op.key = &keys_[id];

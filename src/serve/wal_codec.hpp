@@ -1,15 +1,14 @@
 // WalPayloadCodec — compressed block encoding for engine WAL payloads
-// (engine payload v4; DESIGN.md §11).
+// (DESIGN.md §11).
 //
 // Instead of one WAL frame per operation (whose 16-byte frame header and
-// repeated key strings dominate the bytes), the engine packs every op of a
-// (shard, batched-call) pair into ONE bit-packed block frame:
+// repeated key strings would dominate the bytes), the engine packs every op
+// of a (shard, batched-call) pair into ONE bit-packed block frame — the only
+// payload format replay and replication accept:
 //
-//   byte 0          : 0xB1 block marker (legacy per-op payloads start with
-//                     the op type byte 0/1/2, so the first byte of a payload
-//                     discriminates the two formats — no version bump of the
-//                     WAL container needed, and src/replication ships either
-//                     transparently since payloads are opaque to it)
+//   byte 0          : 0xB1 block marker (src/replication ships payloads
+//                     opaquely; the follower engine checks the marker
+//                     before it logs a relayed frame)
 //   bits            : uvarint op count, then per op:
 //     2 bits        : type (0 observe / 1 predict / 2 erase)
 //     1 bit         : new-key flag
@@ -26,7 +25,7 @@
 // decoding a frame advances it identically — so decode(replayed frames,
 // starting from the snapshot's saved state) always reproduces the encoder's
 // state, which is what lets the chain continue across crash recovery.  The
-// engine persists this state per shard in the v4 snapshot at the WAL
+// engine persists this state per shard in its snapshot at the WAL
 // watermark cut; frames below the cut are never decoded (their effect IS
 // the saved state), frames at/past it decode from it.
 #pragma once
@@ -45,10 +44,16 @@
 
 namespace larp::serve {
 
-/// Leading payload byte of a compressed block frame.  Legacy per-op
-/// payloads start with their type byte (0, 1, 2), so values >= 0xB0 are
-/// free for framing markers.
+/// Leading payload byte of a compressed block frame.
 inline constexpr std::uint8_t kWalBlockMarker = 0xB1;
+
+/// Op types of a block frame.  Predict ops matter for bit-identical
+/// recovery: predict_next() mutates the predictor's pending-forecast state
+/// and the prediction DB, both of which feed the residual/uncertainty
+/// stream.
+inline constexpr std::uint8_t kWalObserve = 0;
+inline constexpr std::uint8_t kWalPredict = 1;
+inline constexpr std::uint8_t kWalErase = 2;
 
 /// One operation decoded from a block frame.  `key` points into the codec's
 /// dictionary and stays valid for the codec's lifetime.
@@ -70,7 +75,7 @@ class WalPayloadCodec {
   /// begin_block).  Exactly op_count ops must have been added.
   [[nodiscard]] std::span<const std::byte> finish_block();
 
-  /// Whether a WAL payload is a compressed block (vs a legacy per-op frame).
+  /// Whether a WAL payload starts with the block marker.
   [[nodiscard]] static bool is_block(std::span<const std::byte> payload) {
     return !payload.empty() &&
            std::to_integer<std::uint8_t>(payload[0]) == kWalBlockMarker;
@@ -78,7 +83,8 @@ class WalPayloadCodec {
 
   /// Op count of a block payload WITHOUT decoding it (the count prefix is
   /// byte-aligned by construction) — the record weight a follower stages a
-  /// relayed frame with.  Returns 1 for legacy per-op payloads.
+  /// relayed frame with.  Throws persist::CorruptData for a payload that is
+  /// not a block.
   [[nodiscard]] static std::size_t payload_weight(
       std::span<const std::byte> payload);
 

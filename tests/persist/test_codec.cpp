@@ -1,9 +1,9 @@
 // Property tests for persist::codec — the Gorilla-style bit-packing layer
-// under engine payload v4 (DESIGN.md §11).  The single invariant that
-// matters is BIT-EXACT round-trip for every input: random streams, the
-// adversarial values the escape hatch exists for (NaN payloads, ±Inf,
-// denormals), irregular and backward timestamps, and degenerate block
-// shapes (empty, single sample).
+// under the engine snapshot and WAL payloads (DESIGN.md §11).  The single
+// invariant that matters is BIT-EXACT round-trip for every input: random
+// streams, the adversarial values the escape hatch exists for (NaN
+// payloads, ±Inf, denormals), irregular and backward timestamps, and
+// degenerate block shapes (empty, single sample).
 #include <gtest/gtest.h>
 
 #include <bit>

@@ -10,8 +10,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "persist/io.hpp"
@@ -459,38 +461,6 @@ TEST_F(RecoveryTest, SnapshotPrunesCoveredWalSegments) {
   EXPECT_EQ(restored->series_count(), kSeries);
 }
 
-// Cross-version migration tripwire (ROADMAP: "add one before the first
-// format change"): a complete durable data directory — engine snapshot plus
-// post-snapshot WAL frames — produced by the v1 format is committed under
-// testdata/ and must keep restoring.  When the engine payload or WAL format
-// evolves, either the new reader still accepts v1 (this test proves it) or
-// the version constants were bumped without a migration path (this test
-// fails before the release does).
-TEST_F(RecoveryTest, GoldenV1EngineDirectoryStillRestores) {
-  const fs::path fixture =
-      fs::path(LARP_PERSIST_TESTDATA_DIR) / "engine-v1";
-  ASSERT_TRUE(fs::exists(fixture)) << "missing committed fixture " << fixture;
-  // Restore mutates the directory (WAL writers open, torn tails repaired),
-  // so work on a copy and leave the committed fixture pristine.
-  fs::copy(fixture, dir_, fs::copy_options::recursive);
-
-  auto restored =
-      PredictionEngine::restore(predictors::make_paper_pool(5), dir_);
-  const auto stats = restored->stats();
-  // Exact values baked in at fixture generation time (kTrain + 6 rounds,
-  // snapshot, 5 more rounds that live only in the WAL).
-  EXPECT_EQ(restored->series_count(), kSeries);
-  EXPECT_EQ(stats.trains, kSeries);
-  EXPECT_EQ(stats.observations, (kTrain + 11) * kSeries);
-  EXPECT_EQ(stats.predictions, (kTrain + 11) * kSeries);
-  EXPECT_EQ(restored->config().lar.window, 5u);
-  EXPECT_EQ(restored->config().shards, 4u);
-  // The restored engine serves: every series is past training and forecasts.
-  std::vector<tsdb::SeriesKey> keys;
-  for (std::size_t s = 0; s < kSeries; ++s) keys.push_back(key_of(s));
-  for (const auto& p : restored->predict(keys)) EXPECT_TRUE(p.ready);
-}
-
 // A WAL-only directory cannot carry the shard count, and replaying it under
 // a different one silently strands whole shard logs.  Restore must refuse
 // instead of quietly losing data.
@@ -516,65 +486,31 @@ TEST_F(RecoveryTest, WalOnlyRestoreUnderWrongShardCountIsRefused) {
   EXPECT_EQ(restored->stats().observations, 8 * kSeries);
 }
 
-// Same tripwire for the last pre-compression format: a v3 directory (raw
-// payload sections, per-op WAL frames) written right before the v4 codec
-// landed.  The v4 reader must keep accepting both the old snapshot layout
-// and the legacy WAL frame format, including the mixed timeline where block
-// frames start appearing after the first post-upgrade write.
-TEST_F(RecoveryTest, GoldenV3EngineDirectoryStillRestores) {
+// The current format, pinned as committed bytes: a v5 directory (snapshot
+// with compressed shard sections + block WAL frames) must keep restoring.
+// A writer change that alters the layout without bumping the payload
+// version fails here.  Recipe for testdata/engine-v5: a durable_config()
+// engine fed drive(kTrain + 6, with_predict) from a fresh StreamState,
+// snapshot(), then drive(5, with_predict) more rounds that live only in the
+// WAL, then destroyed.
+TEST_F(RecoveryTest, GoldenV5EngineDirectoryStillRestores) {
   const fs::path fixture =
-      fs::path(LARP_PERSIST_TESTDATA_DIR) / "engine-v3";
+      fs::path(LARP_PERSIST_TESTDATA_DIR) / "engine-v5";
   ASSERT_TRUE(fs::exists(fixture)) << "missing committed fixture " << fixture;
-  fs::copy(fixture, dir_, fs::copy_options::recursive);
-
-  auto restored =
-      PredictionEngine::restore(predictors::make_paper_pool(5), dir_);
-  const auto stats = restored->stats();
-  EXPECT_EQ(restored->series_count(), kSeries);
-  EXPECT_EQ(stats.trains, kSeries);
-  EXPECT_EQ(stats.observations, (kTrain + 11) * kSeries);
-  EXPECT_EQ(stats.predictions, (kTrain + 11) * kSeries);
-  std::vector<tsdb::SeriesKey> keys;
-  for (std::size_t s = 0; s < kSeries; ++s) keys.push_back(key_of(s));
-  for (const auto& p : restored->predict(keys)) EXPECT_TRUE(p.ready);
-
-  // The post-upgrade timeline: new traffic appends COMPRESSED block frames
-  // after the v3 per-op frames, and a second recovery replays the mix.
-  StreamState drained;
-  for (std::size_t i = 0; i < (kTrain + 11) * 1; ++i) {
-    for (std::size_t s = 0; s < kSeries; ++s) (void)drained.sample(s);
-  }
-  drive(*restored, drained, 4, /*with_predict=*/true);
-  const auto continued_stats = restored->stats();
-  restored.reset();
-  auto again = PredictionEngine::restore(predictors::make_paper_pool(5), dir_);
-  EXPECT_EQ(again->stats().observations, continued_stats.observations);
-  EXPECT_EQ(again->stats().predictions, continued_stats.predictions);
-}
-
-// And the current format: a v4 directory (compressed snapshot sections +
-// block WAL frames) must restore and expose its byte accounting through
-// describe_payload — the tripwire that locks today's writer output.
-TEST_F(RecoveryTest, GoldenV4EngineDirectoryStillRestores) {
-  const fs::path fixture =
-      fs::path(LARP_PERSIST_TESTDATA_DIR) / "engine-v4";
-  ASSERT_TRUE(fs::exists(fixture)) << "missing committed fixture " << fixture;
+  // Restore mutates the directory (WAL writers open), so work on a copy and
+  // leave the committed fixture pristine.
   fs::copy(fixture, dir_, fs::copy_options::recursive);
 
   {
     const auto loaded = persist::load_newest_valid(dir_);
     ASSERT_TRUE(loaded.has_value());
     const auto desc = PredictionEngine::describe_payload(loaded->payload);
-    EXPECT_EQ(desc.payload_version, 4u);
+    EXPECT_EQ(desc.payload_version, 5u);
     EXPECT_EQ(desc.shards, 4u);
-    ASSERT_EQ(desc.watermarks.size(), 4u);
-    ASSERT_EQ(desc.raw_bytes.size(), 4u);
-    ASSERT_EQ(desc.encoded_bytes.size(), 4u);
-    for (std::size_t s = 0; s < 4; ++s) {
-      // Every shard held series when the fixture was cut, so compression
-      // must have bought actual bytes.
-      EXPECT_LT(desc.encoded_bytes[s], desc.raw_bytes[s]) << "shard " << s;
-    }
+    // Every shard held series at the cut: one predict and one observe block
+    // frame per round.
+    EXPECT_EQ(desc.watermarks,
+              std::vector<std::uint64_t>(4, 2 * (kTrain + 6)));
   }
 
   auto restored =
@@ -584,6 +520,10 @@ TEST_F(RecoveryTest, GoldenV4EngineDirectoryStillRestores) {
   EXPECT_EQ(stats.trains, kSeries);
   EXPECT_EQ(stats.observations, (kTrain + 11) * kSeries);
   EXPECT_EQ(stats.predictions, (kTrain + 11) * kSeries);
+  EXPECT_EQ(restored->config().lar.window, 5u);
+  EXPECT_EQ(restored->config().shards, 4u);
+  EXPECT_EQ(restored->wal_positions(),
+            std::vector<std::uint64_t>(4, 2 * (kTrain + 11)));
   std::vector<tsdb::SeriesKey> keys;
   for (std::size_t s = 0; s < kSeries; ++s) keys.push_back(key_of(s));
   for (const auto& p : restored->predict(keys)) EXPECT_TRUE(p.ready);
@@ -627,52 +567,9 @@ TEST_F(RecoveryTest, NonFiniteObservationIsRefusedBeforeLogging) {
   expect_identical_future(*restored, reference, stream_a, stream_b, 10);
 }
 
-// The removed cold-start selector tier leaves a reserved block in the v4
-// config: the writer zeroes it, and the reader refuses a payload whose tier
-// byte or sample threshold is set — this build cannot reproduce the
-// forecasts such an engine made.  Byte offsets follow save_engine_config:
-// u32 version, then window, pca_components, pca_min_variance (3 × 8), the
-// classifier byte, knn_k (8), backend and labeling bytes, label_window and
-// uncertainty_window (2 × 8), three flag bytes, then mse_threshold,
-// audit_window, min_records, shards, train_samples, history_capacity and
-// audit_every (7 × 8) — the tier byte sits at 114, followed by 7 × 8 tuning
-// bytes and the tier's u64 sample threshold at 171.
-TEST_F(RecoveryTest, SnapshotWithTheRemovedTierEnabledIsRefused) {
-  constexpr std::size_t kTierByte = 114;
-  constexpr std::size_t kTierBlockBytes = 1 + 7 * 8 + 8;
-  constexpr std::size_t kTierThreshold = kTierByte + 1 + 7 * 8;
-  StreamState stream;
-  {
-    PredictionEngine engine(predictors::make_paper_pool(5),
-                            durable_config(dir_));
-    drive(engine, stream, kTrain + 2, /*with_predict=*/true);
-    (void)engine.snapshot();
-  }
-  const auto loaded = persist::load_newest_valid(dir_);
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_GT(loaded->payload.size(), kTierByte + kTierBlockBytes);
-  for (std::size_t i = kTierByte; i < kTierByte + kTierBlockBytes; ++i) {
-    EXPECT_EQ(std::to_integer<int>(loaded->payload[i]), 0) << "offset " << i;
-  }
-
-  std::uint64_t epoch = loaded->epoch;
-  for (const std::size_t offset : {kTierByte, kTierThreshold}) {
-    auto patched = loaded->payload;
-    patched[offset] = std::byte{1};
-    persist::publish_snapshot(dir_, ++epoch, patched);
-    EXPECT_THROW((void)PredictionEngine::restore(
-                     predictors::make_paper_pool(5), dir_),
-                 persist::CorruptData)
-        << "offset " << offset;
-    EXPECT_THROW((void)PredictionEngine::describe_payload(patched),
-                 persist::CorruptData)
-        << "offset " << offset;
-  }
-}
-
-// One WAL write path: every frame the engine logs — observe, predict and
-// erase alike — is a compressed block frame.  (The per-op frame layout is
-// still read, for directories written before block frames existed.)
+// One WAL frame format: every frame the engine logs — observe, predict and
+// erase alike — is a compressed block frame, the only payload replay and
+// replication accept.
 TEST_F(RecoveryTest, WalHoldsOnlyCompressedBlockFrames) {
   StreamState stream;
   {
@@ -695,50 +592,66 @@ TEST_F(RecoveryTest, WalHoldsOnlyCompressedBlockFrames) {
   EXPECT_EQ(ops, 2 * kSeries * (kTrain + 4) + 1);
 }
 
-// The reader skips the reserved tier block's tuning fields: only the tier
-// byte and its sample threshold decide whether a payload is refused.
-TEST_F(RecoveryTest, ReservedTierTuningFieldsAreIgnoredOnRestore) {
-  constexpr std::size_t kTuningFirst = 115;
-  constexpr std::size_t kTuningEnd = kTuningFirst + 7 * 8;
-  StreamState stream_a;
-  StreamState stream_b;
-  PredictionEngine reference(predictors::make_paper_pool(5), base_config());
-  drive(reference, stream_b, kTrain + 5, /*with_predict=*/true);
+// A payload of any version but the current one must be refused loudly —
+// silently misreading an older or newer layout would corrupt instead of
+// failing.
+TEST_F(RecoveryTest, FutureEnginePayloadVersionIsRejected) {
+  persist::ensure_directory(dir_);
+  std::uint64_t epoch = 0;
+  for (const std::uint32_t version : {0u, 1u, 2u, 3u, 4u, 99u}) {
+    persist::io::Writer w;
+    w.u32(version);
+    w.u64(0);
+    persist::publish_snapshot(dir_, ++epoch, w.bytes());
+    EXPECT_THROW((void)PredictionEngine::restore(
+                     predictors::make_paper_pool(5), dir_),
+                 persist::CorruptData)
+        << "version " << version;
+    EXPECT_THROW((void)PredictionEngine::describe_payload(w.bytes()),
+                 persist::CorruptData)
+        << "version " << version;
+  }
+}
+
+// A frame that is intact on disk but cannot be applied is not a torn tail:
+// restore must fail and leave every log byte where it was, not truncate the
+// frame away (a second restore would then silently lose it and everything
+// after it).
+TEST_F(RecoveryTest, UnappliableFrameFailsRestoreWithoutTouchingTheLog) {
+  StreamState stream;
   {
     PredictionEngine engine(predictors::make_paper_pool(5),
                             durable_config(dir_));
-    drive(engine, stream_a, kTrain + 5, /*with_predict=*/true);
-    (void)engine.snapshot();
+    drive(engine, stream, kTrain + 2, /*with_predict=*/true);
   }
-  const auto loaded = persist::load_newest_valid(dir_);
-  ASSERT_TRUE(loaded.has_value());
-  auto patched = loaded->payload;
-  for (std::size_t i = kTuningFirst; i < kTuningEnd; ++i) {
-    patched[i] = std::byte{0x5A};
+  // A CRC-valid frame that is not a block, after shard 2's block frames:
+  // shards 0 and 1 replay cleanly before restore reaches it.
+  {
+    persist::WalWriter writer(dir_, 2, durable_config(dir_).durability.wal);
+    const std::byte not_a_block[] = {std::byte{0}};
+    (void)writer.append(not_a_block);
   }
-  persist::publish_snapshot(dir_, loaded->epoch + 1, patched);
-  EXPECT_EQ(PredictionEngine::describe_payload(patched).payload_version, 4u);
-  auto restored = PredictionEngine::restore(predictors::make_paper_pool(5),
-                                            dir_, durable_config(dir_));
-  EXPECT_EQ(restored->stats().observations, reference.stats().observations);
-  expect_identical_future(*restored, reference, stream_a, stream_b, 8);
-}
+  const auto read_all = [&] {
+    std::vector<std::pair<std::string, std::string>> files;
+    for (std::uint32_t shard = 0; shard < 4; ++shard) {
+      for (const auto& segment : persist::list_wal_segments(dir_, shard)) {
+        std::ifstream in(segment.path, std::ios::binary);
+        files.emplace_back(segment.path.filename().string(),
+                           std::string(std::istreambuf_iterator<char>(in), {}));
+      }
+    }
+    return files;
+  };
+  const auto before = read_all();
+  ASSERT_EQ(before.size(), 4u);
 
-// A payload from the future must be refused loudly — silently misreading a
-// newer layout would corrupt instead of failing.
-TEST_F(RecoveryTest, FutureEnginePayloadVersionIsRejected) {
-  persist::io::Writer w;
-  w.u32(99);  // far past kEnginePayloadVersion
-  w.u64(0);
-  persist::ensure_directory(dir_);
-  persist::publish_snapshot(dir_, 1, w.bytes());
-  EXPECT_THROW((void)PredictionEngine::restore(predictors::make_paper_pool(5),
-                                               dir_),
-               persist::CorruptData);
-  const auto loaded = persist::load_newest_valid(dir_);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_THROW((void)PredictionEngine::describe_payload(loaded->payload),
-               persist::CorruptData);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    EXPECT_THROW((void)PredictionEngine::restore(
+                     predictors::make_paper_pool(5), dir_, base_config()),
+                 persist::CorruptData)
+        << "attempt " << attempt;
+    EXPECT_TRUE(read_all() == before) << "attempt " << attempt;
+  }
 }
 
 }  // namespace

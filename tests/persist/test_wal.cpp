@@ -586,6 +586,41 @@ TEST_F(WalTest, BitFlipStopsReplayAtLastValidFrame) {
   }
 }
 
+// A frame the callback refuses is intact on disk, not a torn tail: the
+// callback's error reaches the caller, and the log keeps every byte, so the
+// refused frame and all after it replay again once they can be applied.
+TEST_F(WalTest, CallbackErrorIsNotATornTail) {
+  WalConfig config;
+  {
+    WalWriter writer(dir_, 0, config);
+    for (int i = 0; i < 5; ++i) writer.append(payload("frame" + std::to_string(i)));
+    writer.sync();
+  }
+  const auto segments = list_wal_segments(dir_, 0);
+  ASSERT_EQ(segments.size(), 1u);
+  const auto size = fs::file_size(segments[0].path);
+
+  std::vector<std::uint64_t> applied;
+  EXPECT_THROW((void)replay_wal(dir_, 0, 0,
+                                [&](const WalFrame& f) {
+                                  if (f.seq == 2) throw CorruptData("refused");
+                                  applied.push_back(f.seq);
+                                }),
+               CorruptData);
+  EXPECT_EQ(applied, (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_EQ(fs::file_size(segments[0].path), size);
+
+  // Reopening the writer finds no tail to repair.
+  {
+    WalWriter writer(dir_, 0, config);
+    EXPECT_EQ(writer.next_seq(), 5u);
+  }
+  const auto frames = replay_all(0);
+  ASSERT_EQ(frames.size(), 5u);
+  EXPECT_EQ(frames[2].second, "frame2");
+  EXPECT_FALSE(last_report_.truncated_tail);
+}
+
 TEST_F(WalTest, RepairDiscardsSuffixSegments) {
   WalConfig config;
   config.segment_bytes = 128;

@@ -36,6 +36,7 @@
 #include "replication/replica.hpp"
 #include "replication/server.hpp"
 #include "serve/prediction_engine.hpp"
+#include "serve/wal_codec.hpp"
 #include "util/error.hpp"
 
 namespace larp::replication {
@@ -551,6 +552,44 @@ TEST(FollowerEngine, RejectsSequenceGaps) {
                                               tailed[1].payload}};
   follower.replicate_frames(shard, in_order);
   EXPECT_EQ(follower.wal_positions()[shard], 2u);
+  fs::remove_all(dir);
+}
+
+// A relayed payload that is not a WAL block frame could never be replayed
+// from the follower's log, so the whole batch is refused before any frame
+// of it is logged or applied.
+TEST(FollowerEngine, RejectsNonBlockPayloadsBeforeLogging) {
+  const fs::path dir = test_dir("nonblock");
+  fs::remove_all(dir);
+  serve::EngineConfig config = tiny_config();
+  config.role = serve::EngineRole::kFollower;
+  config.durability.data_dir = dir;
+  serve::PredictionEngine follower(predictors::make_paper_pool(5), config);
+
+  serve::WalPayloadCodec codec;
+  codec.begin_block(1);
+  codec.add_observe(key_of(0), 1.0);
+  const auto span = codec.finish_block();
+  const std::vector<std::byte> block(span.begin(), span.end());
+  const std::vector<std::byte> not_a_block = {std::byte{0}};
+  const auto positions = follower.wal_positions();
+  const auto stats = follower.stats();
+  for (std::uint32_t shard = 0; shard < 2; ++shard) {
+    // The bad frame follows a good one: the good one must not land either.
+    const serve::ReplicatedFrame batch[] = {{0, block}, {1, not_a_block}};
+    EXPECT_THROW(follower.replicate_frames(shard, batch), persist::CorruptData);
+    const serve::ReplicatedFrame alone[] = {{0, not_a_block}};
+    EXPECT_THROW(follower.replicate_frames(shard, alone), persist::CorruptData);
+  }
+  EXPECT_EQ(follower.wal_positions(), positions);
+  EXPECT_EQ(follower.stats().observations, stats.observations);
+  EXPECT_EQ(follower.stats().replicated_frames, stats.replicated_frames);
+  EXPECT_EQ(follower.series_count(), 0u);
+  for (std::uint32_t shard = 0; shard < 2; ++shard) {
+    const auto report = persist::replay_wal(dir, shard, 0,
+                                            [](const persist::WalFrame&) {});
+    EXPECT_EQ(report.frames_delivered, 0u) << "shard " << shard;
+  }
   fs::remove_all(dir);
 }
 

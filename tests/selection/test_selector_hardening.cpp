@@ -1,5 +1,6 @@
 // Hardening tests for the Selector base and the NWS selectors: NaN-safe
-// labeling, select_weights_into validation, and the EWMA cold start.
+// labeling, select_weights_into validation, and the EWMA cold start and NaN
+// scores.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -101,7 +102,7 @@ TEST(SelectWeightsInto, DefaultWritesOneHot) {
   EXPECT_DOUBLE_EQ(out[2], 0.0);
 }
 
-// -- EwmaMseSelector cold-start (nws_selector.cpp) --------------------------
+// -- EwmaMseSelector cold start and NaN scores (nws_selector.cpp) -----------
 
 TEST(EwmaMseSelector, FallsBackToZeroBeforeAnyFeedback) {
   EwmaMseSelector selector(3, 0.9);
@@ -112,6 +113,18 @@ TEST(EwmaMseSelector, ScoredMembersBeatTheColdFallback) {
   EwmaMseSelector selector(3, 0.9);
   const std::vector<double> forecasts = {3.0, 1.0, 2.0};
   selector.record(forecasts, 0.0);
+  EXPECT_EQ(selector.select(window5()), 1u);
+}
+
+// A NaN forecast leaves its member's decayed score NaN for good; that member
+// must never win again, however badly the finite members do.
+TEST(EwmaMseSelector, NonFiniteScoreNeverWins) {
+  EwmaMseSelector selector(2, 0.9);
+  selector.record(std::vector<double>{kNaN, 100.0}, 0.0);
+  for (int i = 0; i < 5; ++i) {
+    selector.record(std::vector<double>{0.0, 100.0}, 0.0);
+  }
+  EXPECT_TRUE(std::isnan(selector.errors()[0]));
   EXPECT_EQ(selector.select(window5()), 1u);
 }
 

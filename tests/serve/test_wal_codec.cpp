@@ -1,5 +1,5 @@
 // WalPayloadCodec — block WAL frame round-trips, the cross-frame state
-// machine, and malformed-payload rejection (engine payload v4).
+// machine, and malformed-payload rejection (DESIGN.md §11).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -185,13 +185,20 @@ TEST(WalCodecTest, AdversarialObserveValuesRoundTrip) {
 }
 
 TEST(WalCodecTest, LegacyPerOpPayloadIsNotABlock) {
-  // Legacy payloads start with their type byte (0/1/2); the marker keeps
-  // the two formats first-byte distinguishable.
+  // Per-op payloads, written before block frames existed, start with their
+  // type byte (0/1/2); the marker keeps them first-byte distinguishable, and
+  // since no reader for them is left they are refused, never miscounted.
   const std::vector<std::byte> legacy = {std::byte{0}, std::byte{3},
                                          std::byte{'v'}, std::byte{'m'}};
-  EXPECT_FALSE(WalPayloadCodec::is_block(legacy));
-  EXPECT_EQ(WalPayloadCodec::payload_weight(legacy), 1u);
-  EXPECT_FALSE(WalPayloadCodec::is_block({}));
+  for (const std::vector<std::byte>& payload :
+       {legacy, std::vector<std::byte>{}}) {
+    EXPECT_FALSE(WalPayloadCodec::is_block(payload));
+    EXPECT_THROW((void)WalPayloadCodec::payload_weight(payload),
+                 persist::CorruptData);
+    WalPayloadCodec codec;
+    EXPECT_THROW(codec.decode_block(payload, [](const WalOp&) {}),
+                 persist::CorruptData);
+  }
 }
 
 TEST(WalCodecTest, OpCountMismatchThrows) {
@@ -206,8 +213,12 @@ TEST(WalCodecTest, MalformedBlocksAreRejected) {
     WalPayloadCodec codec;
     codec.decode_block(payload, [](const WalOp&) {});
   };
-  // Bad marker.
-  EXPECT_THROW(decode({std::byte{0xB2}, std::byte{1}}), persist::CorruptData);
+  // Bad marker: not a block, and it has no op count.
+  const std::vector<std::byte> bad_marker = {std::byte{0xB2}, std::byte{1}};
+  EXPECT_FALSE(WalPayloadCodec::is_block(bad_marker));
+  EXPECT_THROW(decode(bad_marker), persist::CorruptData);
+  EXPECT_THROW((void)WalPayloadCodec::payload_weight(bad_marker),
+               persist::CorruptData);
   // Impossible op count for the payload size.
   EXPECT_THROW(decode({std::byte{0xB1}, std::byte{0xFF}, std::byte{0xFF},
                        std::byte{0x7F}}),

@@ -903,9 +903,8 @@ int cmd_inspect_snapshot(const Options& options) {
     try {
       const auto loaded = persist::load_snapshot(info.path);
       // The container version is fixed; the engine payload carries its own
-      // layout version (v1: global counters, v2: per-shard watermark table,
-      // v4: compressed sections + byte accounting), parsed header-only —
-      // inspect never deserializes the shard sections.
+      // layout version, parsed header-only — inspect never deserializes the
+      // shard sections.
       const auto desc = serve::PredictionEngine::describe_payload(
           loaded.payload);
       std::printf(
@@ -914,16 +913,9 @@ int cmd_inspect_snapshot(const Options& options) {
           info.path.filename().c_str(),
           static_cast<unsigned long long>(loaded.epoch), loaded.version,
           desc.payload_version, loaded.payload.size());
-      for (std::size_t s = 0; s < desc.raw_bytes.size(); ++s) {
-        const double ratio =
-            desc.encoded_bytes[s] > 0
-                ? static_cast<double>(desc.raw_bytes[s]) /
-                      static_cast<double>(desc.encoded_bytes[s])
-                : 0.0;
-        std::printf(
-            "  shard %zu  raw %llu bytes  encoded %llu bytes  (%.2fx)\n", s,
-            static_cast<unsigned long long>(desc.raw_bytes[s]),
-            static_cast<unsigned long long>(desc.encoded_bytes[s]), ratio);
+      for (std::size_t s = 0; s < desc.watermarks.size(); ++s) {
+        std::printf("  shard %zu  wal watermark %llu\n", s,
+                    static_cast<unsigned long long>(desc.watermarks[s]));
       }
       any_valid = true;
     } catch (const larp::Error& e) {
